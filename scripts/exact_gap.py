@@ -26,11 +26,11 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.search import SolveConfig  # noqa: E402
+from repro.faults.collapse import select_stuck_at_faults  # noqa: E402
 from repro.flow import design_ced  # noqa: E402
 from repro.fsm.benchmarks import HAND_WRITTEN, load_benchmark  # noqa: E402
 from repro.verification.corpus import load_seed_corpus  # noqa: E402
 from repro.verification.exhaustive import (  # noqa: E402
-    collapsed_fault_list,
     exhaustive_check,
     replay_witness,
 )
@@ -48,11 +48,17 @@ def exact_report(fsm, semantics):
         max_faults=MAX_FAULTS,
         solve_config=SolveConfig(seed=SEED),
     )
-    _, _, faults = collapsed_fault_list(design.synthesis, MAX_FAULTS, SEED)
-    report = exhaustive_check(
-        design.synthesis, design.hardware, faults, LATENCY
+    selection = select_stuck_at_faults(
+        design.synthesis, max_faults=MAX_FAULTS, seed=SEED
     )
-    return design, report
+    report = exhaustive_check(
+        design.synthesis,
+        design.hardware,
+        selection.checked,
+        LATENCY,
+        block=selection.block,
+    )
+    return design, selection, report
 
 
 def main() -> int:
@@ -72,8 +78,8 @@ def main() -> int:
     print("-" * len(header))
 
     for fsm in machines:
-        chk_design, chk = exact_report(fsm, "checker")
-        trj_design, trj = exact_report(fsm, "trajectory")
+        chk_design, _, chk = exact_report(fsm, "checker")
+        trj_design, trj_selection, trj = exact_report(fsm, "trajectory")
         if not chk.clean:
             checker_dirty += 1
         escapes = trj.escapes
@@ -83,9 +89,7 @@ def main() -> int:
                 trj_design.hardware,
                 next(
                     f.payload
-                    for f in collapsed_fault_list(
-                        trj_design.synthesis, MAX_FAULTS, SEED
-                    )[2]
+                    for f in trj_selection.checked
                     if f.name == verdict.fault
                 ),
                 verdict.witness,

@@ -51,6 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.faults.block import FaultResponseBlock, block_patterns, pack_words
 from repro.faults.model import Fault, FaultModel, is_netlist_fault
 from repro.logic.sim import evaluate_batch
 from repro.logic.synthesis import SynthesisResult
@@ -511,11 +512,14 @@ def extend_extraction_state(
     faults = fault_model.faults()
     if tuple(fault.name for fault in faults) != state.fault_names:
         raise ValueError("fault universe does not match the extraction state")
-    good = _StateEvaluator(synthesis, state.alphabet)
-    good.ensure(state.reachable)
-    shared = _SharedFaultBlock(
-        synthesis, fault_model, state.alphabet, state.reachable
+    block_for = getattr(fault_model, "response_block", None)
+    block = (
+        block_for(state.alphabet, state.reachable)
+        if block_for is not None
+        else None
     )
+    good = _StateEvaluator(synthesis, state.alphabet, block)
+    good.ensure(state.reachable)
     for fault, frontier in zip(faults, state.frontiers):
         extractor = _FaultExtractor(
             synthesis,
@@ -524,7 +528,7 @@ def extend_extraction_state(
             state.alphabet,
             good,
             config,
-            shared=shared,
+            block=block,
             frontier=frontier,
         )
         extractor.discover(state.reachable)
@@ -793,114 +797,62 @@ def extract_table(
 # Internals
 # ----------------------------------------------------------------------
 class _StateEvaluator:
-    """Batch evaluation of the *good* netlist, cached per state code."""
+    """Packed responses of the good machine (or of one fault), per code.
 
-    def __init__(self, synthesis: SynthesisResult, alphabet: np.ndarray) -> None:
-        self.synthesis = synthesis
-        self.alphabet = alphabet
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def ensure(self, codes: list[int]) -> None:
-        missing = [code for code in codes if code not in self._cache]
-        if not missing:
-            return
-        patterns = _patterns(self.synthesis, missing, self.alphabet)
-        responses = evaluate_batch(self.synthesis.netlist, patterns)
-        packed = _pack_bits(responses).reshape(len(missing), -1)
-        mask = (1 << self.synthesis.num_state_bits) - 1
-        for idx, code in enumerate(missing):
-            self._cache[code] = (packed[idx], packed[idx] & mask)
-
-    def info(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        """(packed responses, next-state codes), one entry per alphabet input."""
-        if code not in self._cache:
-            self.ensure([code])
-        return self._cache[code]
-
-
-class _SharedFaultBlock:
-    """The reachable-block patterns, simulated once and shared by every fault.
-
-    Every fault's evaluator needs responses on the same
-    ``reachable × alphabet`` pattern block.  For netlist-level fault models
-    the fault-free packed node values of that block are computed here a
-    single time (via :meth:`FaultModel.batch_simulator`); each fault is
-    then one cone-restricted word-parallel re-sweep instead of a
-    whole-netlist re-simulation.  Models without a shared simulator (or
-    non-netlist faults) fall back to per-fault :meth:`faulty_responses`.
+    Codes ``block`` holds are sliced out of its good (or the fault's)
+    word matrix, read once; other codes, non-netlist faults and calls
+    without a block simulate the good netlist (or go through
+    :meth:`FaultModel.faulty_responses`).
     """
 
     def __init__(
         self,
         synthesis: SynthesisResult,
-        fault_model: FaultModel,
         alphabet: np.ndarray,
-        codes: list[int],
-    ) -> None:
-        self.index = {code: idx for idx, code in enumerate(codes)}
-        self.simulator = None
-        batch = getattr(fault_model, "batch_simulator", None)
-        if batch is not None and codes:
-            patterns = _patterns(synthesis, list(codes), alphabet)
-            self.simulator = batch(patterns)
-
-    def faulty_packed(self, fault: Fault) -> np.ndarray | None:
-        """(num_codes, alphabet_size) packed response words, or ``None``."""
-        if self.simulator is None or not is_netlist_fault(fault):
-            return None
-        node, value = fault.payload  # type: ignore[misc]
-        responses = self.simulator.faulty_outputs((int(node), int(value)))
-        return _pack_bits(responses).reshape(len(self.index), -1)
-
-
-class _BadEvaluator:
-    """Batch evaluation of one fault's faulty responses, cached per state."""
-
-    def __init__(
-        self,
-        synthesis: SynthesisResult,
-        fault_model: FaultModel,
-        fault: Fault,
-        alphabet: np.ndarray,
-        shared: "_SharedFaultBlock | None" = None,
+        block: FaultResponseBlock | None = None,
+        fault_model: FaultModel | None = None,
+        fault: Fault | None = None,
     ) -> None:
         self.synthesis = synthesis
+        self.alphabet = alphabet
         self.fault_model = fault_model
         self.fault = fault
-        self.alphabet = alphabet
-        self.shared = shared
-        self._shared_rows: np.ndarray | None = None
-        self._shared_tried = False
+        self.block = block if fault is None or is_netlist_fault(fault) else None
+        self._words: np.ndarray | None = None
         self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def ensure(self, codes: list[int]) -> None:
         missing = [code for code in codes if code not in self._cache]
-        if not missing:
-            return
         mask = (1 << self.synthesis.num_state_bits) - 1
-        if self.shared is not None:
-            if not self._shared_tried:
-                self._shared_tried = True
-                self._shared_rows = self.shared.faulty_packed(self.fault)
-            if self._shared_rows is not None:
-                rest: list[int] = []
-                for code in missing:
-                    idx = self.shared.index.get(code)
-                    if idx is None:
-                        rest.append(code)
-                        continue
-                    row = self._shared_rows[idx]
-                    self._cache[code] = (row, row & mask)
-                missing = rest
+        if missing and self.block is not None:
+            rest: list[int] = []
+            for code in missing:
+                row = self.block.index.get(code)
+                if row is None:
+                    rest.append(code)
+                    continue
+                if self._words is None:
+                    self._words = (
+                        self.block.good_words
+                        if self.fault is None
+                        else self.block.faulty_words(self.fault.payload)
+                    )
+                words = self._words[row]
+                self._cache[code] = (words, words & mask)
+            missing = rest
         if not missing:
             return
-        patterns = _patterns(self.synthesis, missing, self.alphabet)
-        responses = self.fault_model.faulty_responses(self.fault, patterns)
-        packed = _pack_bits(responses).reshape(len(missing), -1)
+        patterns = block_patterns(self.synthesis, missing, self.alphabet)
+        if self.fault is None:
+            responses = evaluate_batch(self.synthesis.netlist, patterns)
+        else:
+            responses = self.fault_model.faulty_responses(self.fault, patterns)
+        packed = pack_words(responses).reshape(len(missing), -1)
         for idx, code in enumerate(missing):
             self._cache[code] = (packed[idx], packed[idx] & mask)
 
     def info(self, code: int) -> tuple[np.ndarray, np.ndarray]:
+        """(packed responses, next-state codes), one entry per alphabet input."""
         if code not in self._cache:
             self.ensure([code])
         return self._cache[code]
@@ -930,14 +882,14 @@ class _FaultExtractor:
         alphabet: np.ndarray,
         good: _StateEvaluator,
         config: TableConfig,
-        shared: "_SharedFaultBlock | None" = None,
+        block: FaultResponseBlock | None = None,
         frontier: ExtractionFrontier | None = None,
     ) -> None:
         self.synthesis = synthesis
         self.alphabet = alphabet
         self.good = good
-        self.bad = _BadEvaluator(
-            synthesis, fault_model, fault, alphabet, shared=shared
+        self.bad = _StateEvaluator(
+            synthesis, alphabet, block, fault_model, fault
         )
         self.config = config
         self.trajectory = config.semantics == "trajectory"
@@ -1245,23 +1197,3 @@ def _merge_branches(
     if not parts:
         return np.zeros((0, depth), dtype=np.uint64)
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
-def _patterns(
-    synthesis: SynthesisResult, codes: list[int], alphabet: np.ndarray
-) -> np.ndarray:
-    """(len(codes) * len(alphabet), r + s) pattern matrix, code-major order."""
-    r = synthesis.num_inputs
-    s = synthesis.num_state_bits
-    input_bits = ((alphabet[:, None] >> np.arange(r)) & 1).astype(np.uint8)
-    code_array = np.asarray(codes, dtype=np.int64)
-    state_bits = ((code_array[:, None] >> np.arange(s)) & 1).astype(np.uint8)
-    tiled_inputs = np.tile(input_bits, (len(codes), 1))
-    repeated_states = np.repeat(state_bits, alphabet.shape[0], axis=0)
-    return np.concatenate([tiled_inputs, repeated_states], axis=1)
-
-
-def _pack_bits(responses: np.ndarray) -> np.ndarray:
-    """Pack (P, n) 0/1 responses into int64 words (bit j = column j)."""
-    weights = (1 << np.arange(responses.shape[1], dtype=np.int64)).astype(np.int64)
-    return responses.astype(np.int64) @ weights

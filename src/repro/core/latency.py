@@ -27,8 +27,6 @@ import numpy as np
 from repro.core.detectability import (
     TableConfig,
     _StateEvaluator,
-    _pack_bits,
-    _patterns,
     input_alphabet,
     reachable_state_codes,
 )
@@ -66,23 +64,17 @@ def _shortest_faulty_cycle(
     reachable: list[int],
 ) -> int | None:
     """Shortest cycle of the faulty machine reachable from an activation."""
-    state_mask = (1 << synthesis.num_state_bits) - 1
-
-    def faulty_rows(codes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Per code: packed faulty responses and faulty next-state codes."""
-        patterns = _patterns(synthesis, codes, alphabet)
-        packed = _pack_bits(fault_model.faulty_responses(fault, patterns))
-        packed = packed.reshape(len(codes), -1)
-        return packed, packed & state_mask
+    bad = _StateEvaluator(synthesis, alphabet, fault_model=fault_model, fault=fault)
 
     # Activation states: faulty next-states of erroneous reachable transitions.
-    packed, next_codes = faulty_rows(reachable)
+    bad.ensure(reachable)
     activations: set[int] = set()
-    for idx, code in enumerate(reachable):
+    for code in reachable:
         good_packed, _ = good.info(code)
-        diffs = good_packed ^ packed[idx]
+        bad_packed, next_codes = bad.info(code)
+        diffs = good_packed ^ bad_packed
         activations.update(
-            int(nxt) for nxt, diff in zip(next_codes[idx], diffs) if int(diff)
+            int(nxt) for nxt, diff in zip(next_codes, diffs) if int(diff)
         )
     if not activations:
         return None
@@ -93,10 +85,10 @@ def _shortest_faulty_cycle(
     frontier = sorted(activations)
     seen = set(frontier)
     while frontier:
-        _, successor_rows = faulty_rows(frontier)
+        bad.ensure(frontier)
         next_frontier: list[int] = []
-        for code, row in zip(frontier, successor_rows):
-            for nxt in {int(v) for v in row}:
+        for code in frontier:
+            for nxt in {int(v) for v in bad.info(code)[1]}:
                 graph.add_edge(code, nxt)
                 if nxt not in seen:
                     seen.add(nxt)

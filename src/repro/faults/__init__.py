@@ -8,6 +8,7 @@ and :mod:`repro.faults.model` ships both the stuck-at universe and a
 specification-level transition-fault model as a second instance.
 """
 
+from repro.faults.block import FaultResponseBlock
 from repro.faults.collapse import (
     CollapseReport,
     FaultClass,
@@ -31,6 +32,7 @@ __all__ = [
     "Fault",
     "FaultClass",
     "FaultModel",
+    "FaultResponseBlock",
     "FaultSelection",
     "FaultSimResult",
     "SignatureEngine",

@@ -21,9 +21,9 @@ output directly and are not equivalent to the kept downstream gate fault.
 XOR/XNOR inputs are never equivalent to output faults: keep all.
 
 **Functional signature classes** (behavior-exact, much stronger): every
-structurally-kept fault's faulty output+next-state response is simulated
-over the full ``2**s × alphabet`` analysis block with the packed uint64
-kernel (:class:`repro.logic.sim.PackedSimulator`), and faults with
+structurally-kept fault's faulty output+next-state response is read from
+the full ``2**s × alphabet`` :class:`~repro.faults.block.FaultResponseBlock`
+(simulated once, with the packed uint64 kernel), and faults with
 byte-identical packed signatures — hash first, exact byte compare to
 confirm — are grouped into one :class:`FaultClass`.  The signature is the
 response restricted to the fault's *observable closure*: the state codes
@@ -43,36 +43,32 @@ analysis input alphabet (the default-knob
 :func:`repro.core.detectability.input_alphabet`); driving members with
 off-alphabet inputs (``restrict_to_alphabet=False`` fuzzing) may
 distinguish them in that unanalyzed space.  Machines whose block exceeds
-the pattern budget skip the functional pass and fall back to structural
-classes only.
+:data:`repro.faults.block.PATTERN_LIMIT` skip the functional pass and fall
+back to structural classes only.
 
 :func:`select_stuck_at_faults` is the one shared selection recipe
 (universe → collapse → seeded subsample) used by both
 :meth:`repro.faults.model.StuckAtModel.faults` and the exhaustive
-verifier's :func:`repro.verification.exhaustive.collapsed_fault_list`, so
-the two can never drift apart on the same seed.
+verifier, so the two can never drift apart on the same seed.  The
+selection carries the signature pass's block, so the representatives'
+faulty words are simulated once and read by every later stage.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.faults.block import FaultResponseBlock, all_codes_fit
 from repro.logic.netlist import GateKind, Netlist
 from repro.runtime.trace import current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.model import Fault
     from repro.logic.synthesis import SynthesisResult
-
-#: Skip the functional signature pass above this many analysis-block
-#: patterns (``2**s × |alphabet|``).  Every bundled benchmark fits
-#: comfortably (max 4096); the budget guards externally supplied machines
-#: with wide state words.
-DEFAULT_SIGNATURE_PATTERN_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,6 +104,8 @@ class CollapseReport:
     classes: tuple[FaultClass, ...]
     #: Patterns simulated by the functional pass (0 = pass skipped).
     signature_patterns: int
+    #: The signature pass's block (``None`` = pass skipped).
+    block: FaultResponseBlock | None = field(default=None, compare=False)
 
     @property
     def num_classes(self) -> int:
@@ -198,7 +196,7 @@ def _payload(fault: "Fault") -> tuple[int, int]:
 # Functional signature classes
 # ----------------------------------------------------------------------
 class SignatureEngine:
-    """Observable-closure response signatures over the analysis block.
+    """Observable-closure response signatures over an all-codes block.
 
     The block is ``2**s × alphabet`` (every state code crossed with the
     default-knob :func:`repro.core.detectability.input_alphabet`) — the
@@ -213,73 +211,61 @@ class SignatureEngine:
     any downstream consumer can reach, so their table rows, exhaustive
     verdicts (status, exact worst-case latency, activation counts,
     witnesses) and fuzzer runs coincide for every latency.
-
-    ``available`` is ``False`` when the machine has no observed outputs or
-    the block exceeds ``max_patterns``; callers then skip the pass.
     """
 
-    def __init__(
-        self,
-        synthesis: "SynthesisResult",
-        max_patterns: int = DEFAULT_SIGNATURE_PATTERN_LIMIT,
-    ) -> None:
-        from repro.core.detectability import (
-            TableConfig,
-            _pack_bits,
-            _patterns,
-            input_alphabet,
-            reachable_state_codes,
+    def __init__(self, block: FaultResponseBlock) -> None:
+        self.block = block
+        self.state_mask = np.int64(len(block.codes) - 1)
+        self.good_reachable = _closure(
+            block.good_words & self.state_mask, [block.synthesis.reset_code]
         )
-        from repro.logic.sim import PackedSimulator
-
-        netlist = synthesis.netlist
-        alphabet, _ = input_alphabet(synthesis, TableConfig())
-        self.num_states = 1 << synthesis.num_state_bits
-        self.num_inputs = int(alphabet.shape[0])
-        self.num_patterns = self.num_states * self.num_inputs
-        self.available = (
-            bool(netlist.output_ids) and self.num_patterns <= max_patterns
-        )
-        if not self.available:
-            return
-        self._pack_bits = _pack_bits
-        self.good_reachable = reachable_state_codes(synthesis, alphabet)
-        patterns = _patterns(synthesis, list(range(self.num_states)), alphabet)
-        self.simulator = PackedSimulator(netlist, patterns)
-        self.state_mask = np.int64(self.num_states - 1)
 
     def signature(self, payload: tuple[int, int]) -> bytes:
         """Byte-exact observable behaviour of the fault. See class doc."""
-        words = self._pack_bits(
-            self.simulator.faulty_outputs(payload)
-        ).reshape(self.num_states, self.num_inputs)
-        next_state = (words & self.state_mask).astype(np.int64)
-        seen = np.zeros(self.num_states, dtype=bool)
-        frontier = np.asarray(self.good_reachable, dtype=np.int64)
-        seen[frontier] = True
-        while frontier.size:
-            successors = np.unique(next_state[frontier])
-            fresh = successors[~seen[successors]]
-            seen[fresh] = True
-            frontier = fresh
-        closure = np.nonzero(seen)[0]
+        words = self.block.faulty_words(payload)
+        closure = _closure(words & self.state_mask, self.good_reachable)
         return closure.tobytes() + words[closure].tobytes()
+
+
+def _closure(next_state: np.ndarray, start) -> np.ndarray:
+    """Sorted state codes reachable from ``start`` under ``next_state``."""
+    seen = np.zeros(next_state.shape[0], dtype=bool)
+    seen[start] = True
+    count = len(start)
+    while True:
+        seen[next_state[seen]] = True
+        grown = np.count_nonzero(seen)
+        if grown == count:
+            return np.flatnonzero(seen)
+        count = grown
+
+
+def signature_block(synthesis: "SynthesisResult") -> FaultResponseBlock | None:
+    """The all-codes block on the default analysis alphabet, or ``None``
+    when the machine has no observed outputs or the block exceeds
+    :data:`repro.faults.block.PATTERN_LIMIT`."""
+    from repro.core.detectability import TableConfig, input_alphabet
+
+    alphabet, _ = input_alphabet(synthesis, TableConfig())
+    if not synthesis.netlist.output_ids or not all_codes_fit(synthesis, alphabet):
+        return None
+    return FaultResponseBlock(synthesis, alphabet)
 
 
 def collapse_classes(
     synthesis: "SynthesisResult",
     faults: list["Fault"],
     signature: bool = True,
-    max_patterns: int = DEFAULT_SIGNATURE_PATTERN_LIMIT,
 ) -> CollapseReport:
     """Group ``faults`` into behavior-equivalence classes.
 
     The structural pass folds gate-local equivalences; the signature pass
-    (when the analysis block fits ``max_patterns``) then merges every pair
-    of survivors with byte-identical :class:`SignatureEngine` signatures.
-    Class order follows the representative's position in ``faults``;
-    member order within a class is deterministic (the representative
-    always first).
+    (when :func:`signature_block` has a block) then merges every pair of
+    survivors with byte-identical :class:`SignatureEngine` signatures and
+    hands the block — holding each representative's faulty words — on in
+    the report.  Class order follows the representative's position in
+    ``faults``; member order within a class is deterministic (the
+    representative always first).
     """
     netlist = synthesis.netlist
     universe = list(faults)
@@ -310,12 +296,9 @@ def collapse_classes(
             order.append(keeper)
     structural = len(order)
 
-    patterns_used = 0
-    if signature:
-        engine = SignatureEngine(synthesis, max_patterns=max_patterns)
-        if engine.available:
-            order = _merge_by_signature(engine, grouped, order)
-            patterns_used = engine.num_patterns
+    block = signature_block(synthesis) if signature else None
+    if block is not None:
+        order = _merge_by_signature(SignatureEngine(block), grouped, order)
 
     classes = tuple(
         FaultClass(
@@ -328,7 +311,8 @@ def collapse_classes(
         universe=len(universe),
         structural=structural,
         classes=classes,
-        signature_patterns=patterns_used,
+        signature_patterns=block.num_patterns if block is not None else 0,
+        block=block,
     )
 
 
@@ -372,7 +356,10 @@ class FaultSelection:
     seeded-subsampled) list of class representatives downstream stages
     actually simulate, and ``checked_classes`` the aligned classes whose
     multiplicities expand per-representative verdicts back to universe
-    counts.
+    counts.  ``block`` is the signature pass's
+    :class:`~repro.faults.block.FaultResponseBlock` (``None`` when the pass
+    was skipped): table extraction and the exhaustive engine read the
+    representatives' faulty words from it instead of simulating again.
     """
 
     universe: int
@@ -381,6 +368,7 @@ class FaultSelection:
     classes: tuple[FaultClass, ...]
     checked: tuple["Fault", ...]
     checked_classes: tuple[FaultClass, ...]
+    block: FaultResponseBlock | None = field(default=None, compare=False)
 
     @property
     def num_classes(self) -> int:
@@ -406,7 +394,6 @@ def select_stuck_at_faults(
     signature: bool = True,
     max_faults: int | None = None,
     seed: int = 2004,
-    max_patterns: int = DEFAULT_SIGNATURE_PATTERN_LIMIT,
 ) -> FaultSelection:
     """Universe → collapse → seeded subsample, with class bookkeeping.
 
@@ -421,20 +408,19 @@ def select_stuck_at_faults(
 
     netlist = synthesis.netlist
     universe = stuck_at_universe(netlist, include_inputs)
+    block = None
     if collapse:
-        report = collapse_classes(
-            synthesis, universe, signature=signature, max_patterns=max_patterns
-        )
+        report = collapse_classes(synthesis, universe, signature=signature)
         classes = report.classes
         structural = report.structural
-        patterns_used = report.signature_patterns
+        block = report.block
     else:
         classes = tuple(
             FaultClass(representative=fault, members=(fault,))
             for fault in universe
         )
         structural = len(universe)
-        patterns_used = 0
+    patterns_used = block.num_patterns if block is not None else 0
 
     tracer = current_tracer()
     if tracer.enabled and collapse:
@@ -480,4 +466,5 @@ def select_stuck_at_faults(
         classes=classes,
         checked=tuple(cls.representative for cls in checked_classes),
         checked_classes=tuple(checked_classes),
+        block=block,
     )

@@ -2,8 +2,9 @@
 
 The CED flow needs exactly one thing from a fault model: a way to evaluate
 the *faulty* combinational response for a batch of (input, present-state)
-patterns.  :class:`FaultModel` captures that contract; two concrete models
-are provided:
+patterns.  :class:`FaultModel` captures that contract (plus an optional
+shared :class:`~repro.faults.block.FaultResponseBlock`); two concrete
+models are provided:
 
 * :class:`StuckAtModel` — single stuck-at faults on every netlist node
   (gate outputs and primary inputs), the model used in the paper's
@@ -24,9 +25,10 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from repro.faults.block import FaultResponseBlock, all_codes_fit
 from repro.fsm.machine import FSM, Transition
 from repro.logic.netlist import GateKind, Netlist
-from repro.logic.sim import PackedSimulator, evaluate_batch
+from repro.logic.sim import evaluate_batch
 from repro.logic.synthesis import SynthesisResult, synthesize_fsm
 from repro.util.rng import rng_for
 
@@ -40,7 +42,17 @@ class Fault:
 
 
 class FaultModel(Protocol):
-    """What the detectability extractor needs from a fault model."""
+    """What the detectability extractor needs from a fault model.
+
+    A model may also define ``response_block(alphabet, reachable)``,
+    returning a :class:`~repro.faults.block.FaultResponseBlock` on
+    ``alphabet`` whose :meth:`~repro.faults.block.FaultResponseBlock.faulty_words`
+    serve its netlist stuck-at faults: the extractor then reads each
+    fault's words for every code the block holds instead of simulating
+    again.  Models without it (re-synthesized faults such as
+    :class:`TransitionFaultModel`), non-netlist faults and codes outside
+    the block are served through :meth:`faulty_responses`.
+    """
 
     def faults(self) -> list[Fault]:
         """The fault universe."""
@@ -48,18 +60,6 @@ class FaultModel(Protocol):
 
     def faulty_responses(self, fault: Fault, patterns: np.ndarray) -> np.ndarray:
         """(P, n) responses of the faulty machine on (input, state) patterns."""
-        ...
-
-    def batch_simulator(self, patterns: np.ndarray) -> "PackedSimulator | None":
-        """Optional shared simulator for whole-universe sweeps.
-
-        Models whose faults are netlist modifications return a
-        :class:`repro.logic.sim.PackedSimulator` over ``patterns`` — the
-        extractor then computes the fault-free packed values once and
-        evaluates every fault as a cone-restricted re-sweep.  Models that
-        need a per-fault re-synthesis return ``None`` and are served
-        through :meth:`faulty_responses`.
-        """
         ...
 
 
@@ -151,8 +151,21 @@ class StuckAtModel:
         node, value = fault.payload  # type: ignore[misc]
         return evaluate_batch(self.synthesis.netlist, patterns, fault=(node, value))
 
-    def batch_simulator(self, patterns: np.ndarray) -> PackedSimulator:
-        return PackedSimulator(self.synthesis.netlist, patterns)
+    def response_block(
+        self, alphabet: np.ndarray, reachable: Sequence[int]
+    ) -> FaultResponseBlock:
+        """The selection's block when it was built on ``alphabet`` (its
+        representatives' words are already simulated), else one of this
+        model's own (cached): over every state code when they fit
+        :data:`repro.faults.block.PATTERN_LIMIT`, else the ``reachable``
+        ones."""
+        for block in (self.selection().block, self.__dict__.get("_block")):
+            if block is not None and np.array_equal(block.alphabet, alphabet):
+                return block
+        codes = None if all_codes_fit(self.synthesis, alphabet) else reachable
+        block = FaultResponseBlock(self.synthesis, alphabet, codes)
+        self.__dict__["_block"] = block
+        return block
 
 
 # ----------------------------------------------------------------------
@@ -192,10 +205,6 @@ class TransitionFaultModel:
         synthesis = self._faulty_synthesis(fault)
         return evaluate_batch(synthesis.netlist, patterns)
 
-    def batch_simulator(self, patterns: np.ndarray) -> None:
-        """Transition faults require re-synthesis; no shared simulator."""
-        return None
-
     def _faulty_synthesis(self, fault: Fault) -> SynthesisResult:
         if self._cache is None:
             self._cache = {}
@@ -222,13 +231,6 @@ class TransitionFaultModel:
         )
         self._cache[fault.name] = synthesis
         return synthesis
-
-
-def good_responses(
-    synthesis: SynthesisResult, patterns: np.ndarray
-) -> np.ndarray:
-    """(P, n) fault-free responses, column order ns bits then outputs."""
-    return evaluate_batch(synthesis.netlist, patterns)
 
 
 def is_netlist_fault(fault: Fault) -> bool:

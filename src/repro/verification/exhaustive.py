@@ -12,13 +12,13 @@ undetected and a concrete, replayable **escape witness** (an input
 sequence from reset) is extracted.
 
 The search never steps a simulator cycle by cycle.  All per-fault data is
-precomputed with the packed uint64 kernel (:mod:`repro.logic.sim`) over
-the full ``2**s states x alphabet`` pattern block: the fault-free
-transition words, the predictor outputs, and — per fault, via the
-cone-restricted :class:`~repro.logic.sim.PackedSimulator` re-sweep — the
-faulty words.  From these three matrices, error (``E``), detection
-(``D``) and faulty next-state (``NF``) matrices follow by word-parallel
-bit algebra, and each BFS level is a numpy gather.
+read from a :class:`~repro.faults.block.FaultResponseBlock` over the full
+``2**s states x alphabet`` pattern block: the fault-free transition words,
+the predictor outputs, and the faulty words — usually already simulated
+by the fault selection's signature pass.  From these three matrices,
+error (``E``), detection (``D``) and faulty next-state (``NF``) matrices
+follow by word-parallel bit algebra, and each BFS level is a numpy
+gather.
 
 Semantics match :func:`repro.ced.verify.verify_bounded_latency` exactly:
 
@@ -53,15 +53,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.ced.hardware import CedHardware
-from repro.core.detectability import (
-    TableConfig,
-    _pack_bits,
-    _patterns,
-    input_alphabet,
-)
+from repro.core.detectability import TableConfig, input_alphabet
+from repro.faults.block import FaultResponseBlock
 from repro.faults.collapse import FaultSelection, select_stuck_at_faults
 from repro.faults.model import Fault, is_netlist_fault
-from repro.logic.sim import PackedSimulator, evaluate_batch
 from repro.logic.synthesis import SynthesisResult
 from repro.runtime.trace import current_tracer
 
@@ -189,8 +184,7 @@ def exhaustive_check(
     hardware: CedHardware,
     faults: Sequence[Fault],
     latency: int,
-    alphabet: np.ndarray | None = None,
-    input_mode: str | None = None,
+    block: FaultResponseBlock | None = None,
     max_witnesses: int = 8,
     multiplicities: "dict[str, int] | None" = None,
 ) -> ExhaustiveReport:
@@ -198,6 +192,8 @@ def exhaustive_check(
 
     Only netlist stuck-at faults (payload ``(node, value)``) participate;
     other fault kinds are skipped, matching the sampled verifier.
+    ``block`` (e.g. the fault selection's) must enumerate every state code
+    on the analysis alphabet; without one the engine builds its own.
     ``multiplicities`` (fault name → behavior-equivalence class size)
     weights each verdict so report histograms and universe counts stay
     faithful to the full fault universe when ``faults`` holds one
@@ -205,47 +201,39 @@ def exhaustive_check(
     """
     if latency < 1:
         raise ValueError("latency must be at least 1")
-    if alphabet is None:
-        alphabet, input_mode = input_alphabet(
-            synthesis, TableConfig(latency=latency)
+    alphabet, input_mode = input_alphabet(
+        synthesis, TableConfig(latency=latency)
+    )
+    # The faulty machine may wander into codes the good machine never
+    # uses, so the block enumerates all 2**s codes: row = code.
+    if block is None:
+        block = FaultResponseBlock(synthesis, alphabet)
+    elif not (block.all_codes and np.array_equal(block.alphabet, alphabet)):
+        raise ValueError(
+            "block must enumerate every state code on the analysis alphabet"
         )
-    alphabet = np.asarray(alphabet, dtype=np.int64)
-    s = synthesis.num_state_bits
-    num_states = 1 << s
-    num_inputs = int(alphabet.shape[0])
-    state_mask = np.int64(num_states - 1)
-    reset = synthesis.reset_code
-
-    # One pattern block covers every (state code, alphabet input) pair —
-    # the faulty machine may wander into codes the good machine never
-    # uses, so all 2**s codes are enumerated.  Row = code * |A| + input.
-    patterns = _patterns(synthesis, list(range(num_states)), alphabet)
-    good_words = _pack_bits(
-        evaluate_batch(synthesis.netlist, patterns)
-    ).reshape(num_states, num_inputs)
     betas = hardware.betas
-    if betas:
-        predicted = _pack_bits(
-            evaluate_batch(hardware.predictor.netlist, patterns)
-        ).reshape(num_states, num_inputs)
-    else:
-        predicted = np.zeros((num_states, num_inputs), dtype=np.int64)
-
-    simulator = PackedSimulator(synthesis.netlist, patterns)
-    good_next = (good_words & state_mask).astype(np.int64)
-    no_error = np.zeros((num_states, num_inputs), dtype=bool)
-    good_reach, _ = _restricted_reachable(good_next, no_error, reset)
+    predicted = (
+        block.words_of(hardware.predictor.netlist)
+        if betas
+        else np.zeros_like(block.good_words)
+    )
+    good_next = block.good_words & np.int64(len(block.codes) - 1)
+    no_error = np.zeros(good_next.shape, dtype=bool)
+    good_reach, _ = _restricted_reachable(
+        good_next, no_error, synthesis.reset_code
+    )
 
     tracer = current_tracer()
     report = ExhaustiveReport(
         latency=latency,
         alphabet=[int(a) for a in alphabet],
-        input_mode=input_mode or "exhaustive",
-        num_state_bits=s,
-        num_patterns=int(patterns.shape[0]),
+        input_mode=input_mode,
+        num_state_bits=synthesis.num_state_bits,
+        num_patterns=block.num_patterns,
         reachable_good=[int(c) for c in np.nonzero(good_reach)[0]],
     )
-    activation_union = np.zeros(num_states, dtype=bool)
+    activation_union = np.zeros(len(block.codes), dtype=bool)
     witnesses_left = max_witnesses
 
     with tracer.span(
@@ -254,22 +242,17 @@ def exhaustive_check(
         latency=latency,
         faults=len(faults),
         patterns=report.num_patterns,
-        alphabet=num_inputs,
+        alphabet=len(alphabet),
     ):
         for fault in faults:
             if not is_netlist_fault(fault):
                 continue
             verdict, act_reach = _check_fault(
                 fault=fault,
-                simulator=simulator,
-                good_words=good_words,
+                block=block,
                 predicted=predicted,
                 betas=betas,
-                state_mask=state_mask,
-                reset=reset,
                 latency=latency,
-                alphabet=alphabet,
-                shape=(num_states, num_inputs),
                 want_witness=witnesses_left > 0,
             )
             if multiplicities is not None:
@@ -297,29 +280,18 @@ def exhaustive_check(
 
 def _check_fault(
     fault: Fault,
-    simulator: PackedSimulator,
-    good_words: np.ndarray,
+    block: FaultResponseBlock,
     predicted: np.ndarray,
     betas: list[int],
-    state_mask: np.int64,
-    reset: int,
     latency: int,
-    alphabet: np.ndarray,
-    shape: tuple[int, int],
     want_witness: bool,
 ) -> tuple[FaultVerdict, np.ndarray]:
     """Exact verdict for one fault plus its activation-reachable mask."""
-    num_states, num_inputs = shape
-    node, value = fault.payload  # type: ignore[misc]
-    faulty_words = _pack_bits(
-        simulator.faulty_outputs((int(node), int(value)))
-    ).reshape(num_states, num_inputs)
-    erroneous = faulty_words != good_words
-    if betas:
-        detected = _parity_words(faulty_words, betas) != predicted
-    else:
-        detected = np.zeros(shape, dtype=bool)
-    next_state = (faulty_words & state_mask).astype(np.int64)
+    reset = block.synthesis.reset_code
+    faulty_words = block.faulty_words(fault.payload)  # type: ignore[arg-type]
+    erroneous = faulty_words != block.good_words
+    detected = _parity_words(faulty_words, betas) != predicted
+    next_state = faulty_words & np.int64(len(block.codes) - 1)
 
     # Activation points: reachable through error-free faulty transitions
     # (before the first error, the faulty machine tracks the good one),
@@ -362,7 +334,7 @@ def _check_fault(
             detected=detected,
             undetected_act=undetected_act,
             parents=parents,
-            alphabet=alphabet,
+            alphabet=block.alphabet,
             reset=reset,
             latency=latency,
         )
@@ -498,24 +470,6 @@ def replay_witness(
 # ----------------------------------------------------------------------
 # Benchmark-level driver (cache / campaign / service / CLI entry point)
 # ----------------------------------------------------------------------
-def collapsed_fault_list(
-    synthesis: SynthesisResult, max_faults: int | None, seed: int
-) -> tuple[int, int, list[Fault]]:
-    """(universe size, structurally-collapsed size, checked list).
-
-    Thin compatibility wrapper over
-    :func:`repro.faults.collapse.select_stuck_at_faults` — the one shared
-    selection recipe :meth:`repro.faults.model.StuckAtModel.faults` uses —
-    so the exhaustive engine and the sampled verifier can never drift
-    apart on the same seed.  Callers needing class multiplicities should
-    use :func:`~repro.faults.collapse.select_stuck_at_faults` directly.
-    """
-    selection = select_stuck_at_faults(
-        synthesis, max_faults=max_faults, seed=seed
-    )
-    return selection.universe, selection.structural, list(selection.checked)
-
-
 def verify_exhaustive(
     fsm,
     config: ExhaustiveConfig = ExhaustiveConfig(),
@@ -614,8 +568,7 @@ def _compute_certificate(
         design.hardware,
         faults,
         config.latency,
-        alphabet=alphabet,
-        input_mode=input_mode,
+        block=selection.block,
         max_witnesses=config.max_witnesses,
         multiplicities=selection.multiplicities(),
     )

@@ -3,11 +3,13 @@
 import numpy as np
 from hypothesis import given, settings
 
+from repro.faults import block as block_module
 from repro.faults.collapse import (
     SignatureEngine,
     collapse_classes,
     collapse_faults,
     select_stuck_at_faults,
+    signature_block,
 )
 from repro.faults.model import StuckAtModel, stuck_at_universe
 from repro.logic.netlist import GateKind, Netlist
@@ -182,8 +184,9 @@ class TestSignatureClasses:
         universe = stuck_at_universe(vending_synthesis.netlist)
         report = collapse_classes(vending_synthesis, universe)
         assert report.num_classes < report.structural
-        engine = SignatureEngine(vending_synthesis)
-        assert engine.available
+        block = signature_block(vending_synthesis)
+        assert block is not None
+        engine = SignatureEngine(block)
         for cls in report.classes:
             reference = engine.signature(cls.representative.payload)
             for member in cls.members[1:]:
@@ -192,17 +195,21 @@ class TestSignatureClasses:
     def test_distinct_classes_have_distinct_signatures(self, vending_synthesis):
         universe = stuck_at_universe(vending_synthesis.netlist)
         report = collapse_classes(vending_synthesis, universe)
-        engine = SignatureEngine(vending_synthesis)
+        engine = SignatureEngine(signature_block(vending_synthesis))
         signatures = [
             engine.signature(cls.representative.payload)
             for cls in report.classes
         ]
         assert len(set(signatures)) == len(signatures)
 
-    def test_pattern_budget_skips_functional_pass(self, traffic_synthesis):
+    def test_pattern_budget_skips_functional_pass(
+        self, traffic_synthesis, monkeypatch
+    ):
+        monkeypatch.setattr(block_module, "PATTERN_LIMIT", 1)
         universe = stuck_at_universe(traffic_synthesis.netlist)
-        report = collapse_classes(traffic_synthesis, universe, max_patterns=1)
+        report = collapse_classes(traffic_synthesis, universe)
         assert report.signature_patterns == 0
+        assert report.block is None
         assert report.num_classes == report.structural
         structural = collapse_faults(traffic_synthesis.netlist, universe)
         assert [c.representative.name for c in report.classes] == [
@@ -224,16 +231,18 @@ class TestSharedSelection:
         assert len(selection.checked) == selection.num_classes
 
     def test_model_and_verifier_share_the_recipe(self, traffic_synthesis):
-        from repro.verification.exhaustive import collapsed_fault_list
+        from repro.verification import exhaustive
 
         model = StuckAtModel(traffic_synthesis, max_faults=10)
-        universe, collapsed, checked = collapsed_fault_list(
+        verifier = exhaustive.select_stuck_at_faults(
             traffic_synthesis, max_faults=10, seed=2004
         )
-        assert [f.name for f in model.faults()] == [f.name for f in checked]
+        assert [f.name for f in model.faults()] == [
+            f.name for f in verifier.checked
+        ]
         selection = model.selection()
-        assert selection.universe == universe
-        assert selection.structural == collapsed
+        assert selection.universe == verifier.universe
+        assert selection.structural == verifier.structural
 
     def test_subsample_keeps_class_multiplicities(self, traffic_synthesis):
         selection = select_stuck_at_faults(traffic_synthesis, max_faults=10)

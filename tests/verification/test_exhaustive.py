@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.ced.checker import CedMachine
 from repro.ced.verify import verify_bounded_latency
 from repro.core.search import SolveConfig
+from repro.faults.collapse import select_stuck_at_faults
 from repro.faults.model import is_netlist_fault
 from repro.flow import design_ced
 from repro.fsm.benchmarks import HAND_WRITTEN
@@ -28,7 +29,6 @@ from repro.verification.certificate import certificate_json, parse_certificate
 from repro.verification.corpus import load_seed_corpus
 from repro.verification.exhaustive import (
     ExhaustiveConfig,
-    collapsed_fault_list,
     exhaustive_check,
     replay_witness,
     verify_exhaustive,
@@ -76,7 +76,7 @@ def test_escape_witness_replays_on_the_simulator():
     corpus = {fsm.name: fsm for fsm in load_seed_corpus()}
     fsm = corpus["gapcase"]  # known trajectory-vs-checker gap machine
     design = _design(fsm, latency=2, semantics="trajectory")
-    _, _, faults = collapsed_fault_list(design.synthesis, None, 2004)
+    faults = list(select_stuck_at_faults(design.synthesis).checked)
     report = exhaustive_check(
         design.synthesis, design.hardware, faults, latency=2
     )
@@ -97,7 +97,7 @@ def test_escape_witness_replays_on_the_simulator():
     # The same design under checker semantics is exactly verified clean
     # (the gap is a semantics property, not an engine artifact).
     checker = _design(fsm, latency=2, semantics="checker")
-    _, _, checker_faults = collapsed_fault_list(checker.synthesis, None, 2004)
+    checker_faults = list(select_stuck_at_faults(checker.synthesis).checked)
     assert exhaustive_check(
         checker.synthesis, checker.hardware, checker_faults, latency=2
     ).clean
@@ -106,7 +106,7 @@ def test_escape_witness_replays_on_the_simulator():
 def test_witness_window_has_no_detection():
     corpus = {fsm.name: fsm for fsm in load_seed_corpus()}
     design = _design(corpus["gapcase"], latency=2, semantics="trajectory")
-    _, _, faults = collapsed_fault_list(design.synthesis, None, 2004)
+    faults = list(select_stuck_at_faults(design.synthesis).checked)
     report = exhaustive_check(
         design.synthesis, design.hardware, faults, latency=2
     )
@@ -138,7 +138,7 @@ def test_witness_window_has_no_detection():
 def test_fuzzer_never_beats_the_exact_engine(fsm):
     latency = 2
     design = _design(fsm, latency, semantics="trajectory")
-    _, _, faults = collapsed_fault_list(design.synthesis, 40, 2004)
+    faults = list(select_stuck_at_faults(design.synthesis, max_faults=40).checked)
     faults = [fault for fault in faults if is_netlist_fault(fault)]
     exact = exhaustive_check(
         design.synthesis, design.hardware, faults, latency
