@@ -13,7 +13,11 @@ Measures, per benchmark circuit:
 - **collapse** — the behavior-exact fault-collapsing funnel (universe →
   structural equivalence → signature classes) per circuit, and the cold
   tables-stage time checking one representative per class vs the
-  uncollapsed universe and the structural-only list.
+  uncollapsed universe and the structural-only list.  The three tiers
+  run in turn, ``COLLAPSE_ROUNDS`` times, and each speedup is the median
+  of the per-round ratios: on a shared host the speed drifts between
+  rounds, and best-of-3 per tier read s386 0.95× and 1.08× in two runs
+  of the same code.
 
 Results are merged into ``BENCH_sim.json`` next to the fault-simulation
 series (``bench_sim.py`` owns the top-level ``results`` list; this script
@@ -28,6 +32,7 @@ Run from the repo root:
 from __future__ import annotations
 
 import json
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -50,6 +55,8 @@ CIRCUITS = ("s27", "dk512", "s386")
 LATENCIES = (1, 2, 4)
 MAX_FAULTS = 800
 REPEATS = 3
+#: Interleaved rounds of the collapse tiers (one timing of each per round).
+COLLAPSE_ROUNDS = 15
 
 #: Ratio sweep for the collapse funnel (timing only on CIRCUITS).
 COLLAPSE_CIRCUITS = ("s27", "dk512", "s386", "keyb", "styr", "s1488")
@@ -141,24 +148,30 @@ def bench_collapse(name: str) -> dict:
         "structural": {"signature_collapse": False},
         "classes": {},
     }
-    timings = {}
-    for tier, knobs in tiers.items():
-        # Fresh model per run: the cold path includes the collapse itself.
-        timings[tier] = _best_of(
-            lambda: extract_tables(
+    timings: dict[str, list[float]] = {tier: [] for tier in tiers}
+    for _ in range(COLLAPSE_ROUNDS):
+        for tier, knobs in tiers.items():
+            # Fresh model per run: the cold path includes the collapse itself.
+            start = time.perf_counter()
+            extract_tables(
                 synthesis,
                 StuckAtModel(synthesis, max_faults=None, **knobs),
                 config,
                 latencies,
             )
+            timings[tier].append(time.perf_counter() - start)
+    for tier, samples in timings.items():
+        result[f"tables_cold_{tier}_ms"] = round(
+            statistics.median(samples) * 1e3, 2
         )
-        result[f"tables_cold_{tier}_ms"] = round(timings[tier] * 1e3, 2)
-    result["tables_speedup_vs_universe"] = round(
-        timings["universe"] / timings["classes"], 2
-    )
-    result["tables_speedup_vs_structural"] = round(
-        timings["structural"] / timings["classes"], 2
-    )
+    for tier in ("universe", "structural"):
+        ratios = [
+            base / classes
+            for base, classes in zip(timings[tier], timings["classes"])
+        ]
+        low, _, high = statistics.quantiles(ratios, n=4)
+        result[f"tables_speedup_vs_{tier}"] = round(statistics.median(ratios), 2)
+        result[f"tables_speedup_vs_{tier}_iqr"] = [round(low, 2), round(high, 2)]
     return result
 
 
@@ -202,10 +215,12 @@ def main() -> None:
             "Behavior-exact fault collapsing: universe -> structural "
             "equivalence -> functional signature classes (one simulated "
             "representative per class, multiplicity-expanded downstream). "
-            "tables_cold_*_ms times the cold tables stage (including the "
-            "collapse itself) checking each fault-list tier; speedups "
-            "compare the class list against the universe and the "
-            "structural-only list."
+            "tables_cold_*_ms is the median cold tables stage (including "
+            "the collapse itself) checking each fault-list tier, over "
+            f"{COLLAPSE_ROUNDS} rounds that time the three tiers in turn; "
+            "speedups are the median per-round ratio of the universe and "
+            "structural-only lists against the class list, with the "
+            "ratios' quartiles under *_iqr."
         ),
         "results": [bench_collapse(name) for name in COLLAPSE_CIRCUITS],
     }

@@ -23,7 +23,11 @@ and exercised by the solver ablation benchmark):
   paper's Table 1 shape);
 * the trivial upper bound ``q = n`` (single-bit functions) is installed
   first, mirroring the paper's observation that the search space is
-  ``q ∈ [1, n]``.
+  ``q ∈ [1, n]``;
+* probes below the exact subspace floor (:func:`~repro.core.exact.parity_floor`,
+  when its work gate admits the table) are recorded as
+  ``proved-infeasible`` without an LP or rounding.  Rounding is seeded per
+  ``q`` and the probe sequence does not change, so q and β do not either.
 """
 
 from __future__ import annotations
@@ -34,11 +38,16 @@ import numpy as np
 
 from repro.core.cover import covered_rows, covers_all
 from repro.core.detectability import DetectabilityTable
+from repro.core.exact import exact_minimum_parity, parity_floor
 from repro.core.greedy import greedy_parity_cover
 from repro.core.lp import solve_lp_relaxation, subsample_table
 from repro.core.rounding import randomized_rounding
 from repro.runtime.trace import current_tracer
 from repro.util.rng import rng_for
+
+
+#: ``per_q_outcome`` of a probe below the proven floor: no LP, no rounding.
+PROVED_INFEASIBLE = "proved-infeasible"
 
 
 @dataclass(frozen=True)
@@ -133,10 +142,14 @@ def minimize_parity_bits(
 
     low = 0  # largest q known (or assumed) infeasible
     high = len(best)  # smallest q with a known-feasible β set
+    floor = parity_floor(table, upper=high)  # None: no proof, probe them all
     while high - low > 1:
         mid = (low + high) // 2
         with tracer.span("search.q", q=mid, low=low, high=high) as span:
-            outcome, betas = _try_q(table, lp_table, mid, config, result)
+            if floor is not None and mid < floor:
+                outcome, betas = PROVED_INFEASIBLE, None
+            else:
+                outcome, betas = _try_q(table, lp_table, mid, config, result)
             span.set(outcome=outcome, feasible=betas is not None)
         result.per_q_outcome[mid] = outcome
         if betas is not None:
@@ -157,6 +170,11 @@ def minimize_parity_bits(
             source=result.incumbent_source,
             lp_solves=result.lp_solves,
             rounding_attempts=result.rounding_attempts,
+            floor=floor,
+            proved=sum(
+                outcome == PROVED_INFEASIBLE
+                for outcome in result.per_q_outcome.values()
+            ),
             rows=table.num_rows,
             bits=table.num_bits,
         )
@@ -288,8 +306,6 @@ def _repair(
 
 def _try_exact(table: DetectabilityTable) -> list[int] | None:
     """Budget-bounded exact solve; None if the budget is exhausted."""
-    from repro.core.exact import exact_minimum_parity
-
     try:
         return exact_minimum_parity(table)
     except RuntimeError:  # node budget exhausted — fall back to LP+RR

@@ -133,6 +133,7 @@ def journal_rollup(records: list[dict]) -> dict:
         "lp_solves": 0,
         "lp_iterations": 0,
         "lp_failures": 0,
+        "proved_infeasible": 0,
         "rounding_attempts": 0,
         "rounding_successes": 0,
         "quick_rejects": 0,
@@ -159,7 +160,11 @@ def journal_rollup(records: list[dict]) -> dict:
             entry = rollup["spans"].setdefault(name, {"count": 0, "seconds": 0.0})
             entry["count"] += 1
             entry["seconds"] += record.get("dt", 0.0)
-            if name.startswith("stage."):
+            if name == "search.q" and record.get("attrs", {}).get(
+                "outcome"
+            ) == "proved-infeasible":
+                rollup["proved_infeasible"] += 1
+            elif name.startswith("stage."):
                 stage = name[len("stage."):]
                 rollup["stage_seconds"][stage] = (
                     rollup["stage_seconds"].get(stage, 0.0) + record.get("dt", 0.0)
@@ -249,6 +254,7 @@ def _summarize_journal(records: list[dict]) -> str:
         f"solver: {rollup['lp_solves']} LP solves "
         f"({rollup['lp_iterations']} simplex iterations, "
         f"{rollup['lp_failures']} infeasible/failed), "
+        f"{rollup['proved_infeasible']} probes proved infeasible, "
         f"{rollup['rounding_attempts']} rounding attempts "
         f"({rollup['rounding_successes']} successful calls, "
         f"{rollup['quick_rejects']} quick-filter rejects), "

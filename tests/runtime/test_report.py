@@ -198,12 +198,22 @@ class TestSummaries:
         assert run.journal is not None
         rollup = journal_rollup(run.journal)
         assert [j["name"] for j in rollup["jobs"]] == ["traffic"]
-        assert rollup["lp_solves"] >= 1
+        # Every LP solve is one lp.solve event inside some search; traffic
+        # p=1's probes all sit below the proven floor, so none runs an LP.
+        done = [
+            r["attrs"] for r in run.journal
+            if r.get("type") == "event" and r.get("name") == "search.done"
+        ]
+        assert done
+        assert rollup["lp_solves"] == sum(d["lp_solves"] for d in done)
+        assert rollup["proved_infeasible"] >= 1
+        assert rollup["proved_infeasible"] == sum(d["proved"] for d in done)
         assert rollup["greedy_calls"] >= 1
         assert "solve" in rollup["stage_seconds"]
         text = summarize_run(run)
         assert "journal: unit" in text
         assert "LP solves" in text
+        assert "probes proved infeasible" in text
         assert "stage time:" in text
 
 
