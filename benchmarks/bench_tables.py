@@ -8,7 +8,11 @@ Measures, per benchmark circuit:
   every prefix from scratch) and (b) the warm-derive path (state already
   grown, extension is a no-op, derivation only pools frontier rows).
 - **end to end** — ``design_ced_sweep`` on a cold artifact cache vs the
-  same sweep re-run warm against the cache the cold run populated.
+  same sweep re-run warm against the cache the cold run populated.  Each
+  of ``END_TO_END_ROUNDS`` rounds runs one cold sweep on a fresh cache,
+  then one warm sweep on it; the figures are medians with their
+  quartiles under ``*_iqr``, and the speedup is the median per-round
+  ratio, so host drift between rounds moves both sides alike.
 
 - **collapse** — the behavior-exact fault-collapsing funnel (universe →
   structural equivalence → signature classes) per circuit, and the cold
@@ -57,6 +61,8 @@ MAX_FAULTS = 800
 REPEATS = 3
 #: Interleaved rounds of the collapse tiers (one timing of each per round).
 COLLAPSE_ROUNDS = 15
+#: Interleaved cold/warm rounds of the end-to-end sweep.
+END_TO_END_ROUNDS = 7
 
 #: Ratio sweep for the collapse funnel (timing only on CIRCUITS).
 COLLAPSE_CIRCUITS = ("s27", "dk512", "s386", "keyb", "styr", "s1488")
@@ -70,6 +76,15 @@ def _best_of(function, repeats: int = REPEATS) -> float:
         function()
         timings.append(time.perf_counter() - start)
     return min(timings)
+
+
+def _median_iqr(samples: list[float], scale: float = 1.0):
+    """Median and [lower, upper] quartile of ``samples`` times ``scale``."""
+    low, _, high = statistics.quantiles(samples, n=4)
+    return (
+        round(statistics.median(samples) * scale, 2),
+        [round(low * scale, 2), round(high * scale, 2)],
+    )
 
 
 def bench_tables_stage(name: str) -> dict:
@@ -169,32 +184,35 @@ def bench_collapse(name: str) -> dict:
             base / classes
             for base, classes in zip(timings[tier], timings["classes"])
         ]
-        low, _, high = statistics.quantiles(ratios, n=4)
-        result[f"tables_speedup_vs_{tier}"] = round(statistics.median(ratios), 2)
-        result[f"tables_speedup_vs_{tier}_iqr"] = [round(low, 2), round(high, 2)]
+        (
+            result[f"tables_speedup_vs_{tier}"],
+            result[f"tables_speedup_vs_{tier}_iqr"],
+        ) = _median_iqr(ratios)
     return result
 
 
 def bench_end_to_end(name: str) -> dict:
-    with tempfile.TemporaryDirectory() as scratch:
-        cache = ArtifactCache(Path(scratch) / "bench-cache")
+    def sweep(cache: ArtifactCache) -> float:
         start = time.perf_counter()
         design_ced_sweep(
             name, list(LATENCIES), max_faults=MAX_FAULTS, cache=cache
         )
-        cold_time = time.perf_counter() - start
-        warm_time = _best_of(
-            lambda: design_ced_sweep(
-                name, list(LATENCIES), max_faults=MAX_FAULTS, cache=cache
-            )
-        )
-    return {
-        "circuit": name,
-        "latencies": list(LATENCIES),
-        "cold_ms": round(cold_time * 1e3, 2),
-        "warm_ms": round(warm_time * 1e3, 2),
-        "speedup": round(cold_time / warm_time, 2),
-    }
+        return time.perf_counter() - start
+
+    cold: list[float] = []
+    warm: list[float] = []
+    with tempfile.TemporaryDirectory() as scratch:
+        for index in range(END_TO_END_ROUNDS):
+            cache = ArtifactCache(Path(scratch) / f"bench-cache-{index}")
+            cold.append(sweep(cache))
+            warm.append(sweep(cache))
+    result = {"circuit": name, "latencies": list(LATENCIES)}
+    result["cold_ms"], result["cold_ms_iqr"] = _median_iqr(cold, 1e3)
+    result["warm_ms"], result["warm_ms_iqr"] = _median_iqr(warm, 1e3)
+    result["speedup"], result["speedup_iqr"] = _median_iqr(
+        [c / w for c, w in zip(cold, warm)]
+    )
+    return result
 
 
 def main() -> None:
@@ -228,7 +246,10 @@ def main() -> None:
         "description": (
             "design_ced_sweep on a cold artifact cache vs re-running warm "
             "against the cache the cold run populated (tables served from "
-            "the persisted extraction state and cached artifacts)."
+            "the persisted extraction state and cached artifacts). "
+            f"{END_TO_END_ROUNDS} rounds, each a cold sweep on a fresh "
+            "cache then a warm one on it; cold_ms/warm_ms are medians and "
+            "speedup the median per-round ratio, with quartiles under *_iqr."
         ),
         "results": [bench_end_to_end(name) for name in CIRCUITS],
     }

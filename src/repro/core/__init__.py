@@ -25,8 +25,6 @@ from repro.core.detectability import (
     extract_table,
     extract_tables,
     input_alphabet,
-    minimal_option_sets,
-    pack_option_sets,
     reachable_state_codes,
 )
 from repro.core.exact import exact_minimum_parity
@@ -64,9 +62,7 @@ __all__ = [
     "greedy_parity_cover",
     "input_alphabet",
     "max_useful_latency",
-    "minimal_option_sets",
     "minimize_parity_bits",
-    "pack_option_sets",
     "parity_weight",
     "randomized_rounding",
     "reachable_state_codes",

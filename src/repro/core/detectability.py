@@ -37,6 +37,13 @@ the path enumeration tractable: suffix antichains are memoized per
 vectors with identical behaviour collapse, and one extraction emits the
 tables for *all* latencies up to the configured bound.
 
+Option sets are never materialized as Python sets: enumeration, pooling
+and minimisation all work on packed ``uint64`` rows (a set's words
+ascending, zero-padded at the tail), whose row-lexicographic order is the
+canonical order of the family.  Per latency, the per-fault rows are
+concatenated, deduplicated, ⊆-minimised by probing each row's proper
+sub-rows against the sorted row keys, and row-capped in that order.
+
 The stored ``rows`` array is ``(m, width)`` uint64 with each row's option
 words sorted descending and zero-padded; ``width ≤ latency``.  The paper's
 ``V`` tensor is recovered by :meth:`DetectabilityTable.tensor` (with the
@@ -47,7 +54,7 @@ per-row step permutation implied by canonicalization, which the Statement
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -163,115 +170,6 @@ class DetectabilityTable:
             raise ValueError("step out of range")
         bits = np.arange(self.num_bits, dtype=np.uint64)
         return ((self.rows[:, step - 1][:, None] >> bits[None, :]) & 1).astype(bool)
-
-
-# ----------------------------------------------------------------------
-# Option-set algebra
-# ----------------------------------------------------------------------
-def minimal_option_sets(
-    option_sets: Iterable[frozenset[int]],
-) -> set[frozenset[int]]:
-    """⊆-minimal antichain of a family of option sets.
-
-    A set is dropped when one of its proper subsets is also present
-    (covering the subset's options necessarily covers the superset's).
-    """
-    family = set(option_sets)
-    if frozenset() in family:
-        # The empty set is a proper subset of everything: a path offering
-        # no detection option makes every other constraint from the same
-        # collection redundant only in the antichain sense — the empty row
-        # itself is unsatisfiable and is kept alone so callers notice.
-        return {frozenset()}
-    kept: set[frozenset[int]] = set()
-    for options in family:
-        if not _has_proper_subset_in(options, family):
-            kept.add(options)
-    return kept
-
-
-def _has_proper_subset_in(
-    options: frozenset[int], family: set[frozenset[int]]
-) -> bool:
-    if len(options) <= 1:
-        return False
-    elements = sorted(options)
-    # Enumerate proper non-empty subsets; |options| ≤ latency, so tiny.
-    for mask in range(1, (1 << len(elements)) - 1):
-        subset = frozenset(
-            elements[idx] for idx in range(len(elements)) if (mask >> idx) & 1
-        )
-        if subset in family:
-            return True
-    return False
-
-
-def _cheap_reduce(family: set[frozenset[int]]) -> set[frozenset[int]]:
-    """Fast partial antichain reduction used inside the hot memoized path.
-
-    Handles the two dominant cases exactly: an empty option set absorbs
-    everything (the path offers no detection opportunity beyond what the
-    activation step must provide), and singleton sets absorb all their
-    supersets.  The full :func:`minimal_option_sets` pass runs once per
-    latency on the final collection.
-    """
-    if frozenset() in family:
-        return {frozenset()}
-    singles = {next(iter(s)) for s in family if len(s) == 1}
-    if not singles:
-        return family
-    return {s for s in family if len(s) == 1 or singles.isdisjoint(s)}
-
-
-def _canonical_order(
-    option_sets: Sequence[frozenset[int]],
-) -> list[frozenset[int]]:
-    """``sorted(option_sets, key=sorted)`` via one numpy lexsort.
-
-    List-lexicographic order with the shorter-prefix-first rule is
-    reproduced exactly by zero-padding the ascending element rows at the
-    tail: option words are response *differences* and therefore never
-    zero, so the pad sorts strictly before every real word.  A zero or
-    non-uint64 word (impossible for real tables, possible for exotic
-    callers) falls back to the reference Python sort.
-    """
-    sets = list(option_sets)
-    if len(sets) <= 1:
-        return sets
-    width = max(len(s) for s in sets)
-    if width == 0:
-        return sets
-    keys = np.zeros((len(sets), width), dtype=np.uint64)
-    by_length: dict[int, list[int]] = {}
-    for index, options in enumerate(sets):
-        by_length.setdefault(len(options), []).append(index)
-    for length, indices in by_length.items():
-        if length == 0:
-            continue
-        try:
-            block = np.array(
-                [list(sets[idx]) for idx in indices], dtype=np.uint64
-            )
-        except OverflowError:  # word beyond uint64: exotic caller
-            return sorted(sets, key=sorted)
-        block.sort(axis=1)  # ascending per row, C speed
-        if block[:, 0].min() < 1:  # zero word: padding would mis-sort
-            return sorted(sets, key=sorted)
-        keys[np.asarray(indices), :length] = block
-    order = np.lexsort(tuple(keys[:, col] for col in range(width - 1, -1, -1)))
-    return [sets[idx] for idx in order.tolist()]
-
-
-def pack_option_sets(
-    option_sets: Sequence[frozenset[int]], min_width: int = 1
-) -> np.ndarray:
-    """(m, width) uint64 array of zero-padded, descending-sorted sets."""
-    width = max([min_width] + [len(s) for s in option_sets])
-    packed = np.zeros((len(option_sets), width), dtype=np.uint64)
-    for row_index, options in enumerate(_canonical_order(option_sets)):
-        for col_index, word in enumerate(sorted(options, reverse=True)):
-            packed[row_index, col_index] = word
-    return packed
 
 
 # ----------------------------------------------------------------------
@@ -560,7 +458,7 @@ def tables_from_state(
             f"state has no rows for latencies {missing}; extend it first"
         )
     tracer = current_tracer()
-    per_latency: dict[int, set[frozenset[int]]] = {p: set() for p in latencies}
+    per_latency: dict[int, list[np.ndarray]] = {p: [] for p in latencies}
     raw_rows = {p: 0 for p in latencies}
     reduced_rows = {p: 0 for p in latencies}
     capped_faults = {p: 0 for p in latencies}
@@ -573,11 +471,7 @@ def tables_from_state(
             if meta.capped:
                 capped_faults[p] += 1
             truncated = truncated or meta.capped or meta.suffix_truncated
-            rows = frontier.rows[p]
-            lengths = (rows != np.uint64(0)).sum(axis=1).tolist()
-            target = per_latency[p]
-            for row, length in zip(rows.tolist(), lengths):
-                target.add(frozenset(row[:length]))
+            per_latency[p].append(frontier.rows[p])
     num_activations = sum(f.activations for f in state.frontiers)
     num_universe_faults = (
         sum(state.fault_multiplicities)
@@ -587,13 +481,16 @@ def tables_from_state(
 
     tables: dict[int, DetectabilityTable] = {}
     for p in latencies:
-        pooled = len(per_latency[p])
-        option_sets = minimal_option_sets(per_latency[p])
-        rows = (
-            pack_option_sets(list(option_sets))
-            if option_sets
-            else np.zeros((0, 1), dtype=np.uint64)
+        pooled = (
+            _unique_rows(np.concatenate(per_latency[p]))
+            if per_latency[p]
+            else np.zeros((0, p), dtype=np.uint64)
         )
+        rows = _minimal_rows(pooled)
+        minimal = int(rows.shape[0])
+        # Stored form: words descending, zero-padded to the longest row
+        # of the whole antichain (before any row cap).
+        width = max(1, int((rows != np.uint64(0)).sum(axis=1).max(initial=0)))
         table_truncated = truncated
         row_capped = False
         if rows.shape[0] > config.max_rows:
@@ -606,6 +503,7 @@ def tables_from_state(
             rows = rows[np.sort(chosen)]
             table_truncated = True
             row_capped = True
+        rows = np.ascontiguousarray(np.sort(rows, axis=1)[:, ::-1][:, :width])
         stats = TableStats(
             fsm_name=state.fsm_name,
             num_faults=len(state.frontiers),
@@ -631,8 +529,8 @@ def tables_from_state(
                 width=int(rows.shape[1]),
                 raw_fault_rows=raw_rows[p],
                 deduped_fault_rows=reduced_rows[p],
-                pooled_option_sets=pooled,
-                minimal_option_sets=len(option_sets),
+                pooled_option_sets=int(pooled.shape[0]),
+                minimal_option_sets=minimal,
                 capped_faults=capped_faults[p],
                 row_capped=row_capped,
                 truncated=table_truncated,
@@ -695,35 +593,16 @@ def _subset_positions(total: int, size: int) -> list[int]:
     return positions
 
 
-def _deterministic_subset(
-    family: set[frozenset[int]], size: int
-) -> set[frozenset[int]]:
-    """Evenly-spaced deterministic subsample of an option-set family.
-
-    Always returns exactly ``min(size, len(family))`` option sets: the
-    evenly-spaced indices are deduplicated and topped up with the smallest
-    unused positions, so float rounding in the stride can never silently
-    shrink the sample below the configured truncation size.
-    """
-    if size >= len(family):
-        return set(family)
-    ordered = _canonical_order(list(family))
-    subset = {ordered[idx] for idx in _subset_positions(len(ordered), size)}
-    assert len(subset) == size, "deterministic subsample size mismatch"
-    return subset
-
-
 # ----------------------------------------------------------------------
 # Packed-row option-set algebra
 #
-# The per-fault hot path represents an option-set family as a uint64
-# array of shape (k, width): each row holds the set's words ascending
-# with zero padding at the tail.  Words are response differences and
-# therefore never zero, so (a) the padding is unambiguous and (b) row-wise
-# lexicographic order — what ``np.unique(axis=0)`` returns — coincides
-# exactly with ``sorted(family, key=sorted)``, i.e. ``_canonical_order``.
-# Every helper below is a byte-identical array transcription of its
-# frozenset twin above.
+# An option-set family is a uint64 array of shape (k, width): each row
+# holds the set's words ascending with zero padding at the tail.  Words
+# are response differences and therefore never zero, so (a) the padding
+# is unambiguous and (b) row-wise lexicographic order with column 0
+# primary is the family's canonical order (a set sorts before its
+# extensions, since the pad sorts before every real word).  Per-fault
+# enumeration, pooling and minimisation all run on this one form.
 # ----------------------------------------------------------------------
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """Deduplicated rows in canonical (column-0-primary lexicographic)
@@ -758,11 +637,15 @@ def _insert_word(block: np.ndarray, word: int) -> np.ndarray:
 
 
 def _reduce_rows(rows: np.ndarray) -> np.ndarray:
-    """:func:`_cheap_reduce` on canonically ordered packed rows (the
-    boolean masks keep that order intact)."""
+    """Partial antichain reduction of canonically ordered packed rows.
+
+    Handles the two dominant cases exactly and keeps the order: the
+    all-zero row (the empty option set, which canonical order sorts
+    first) absorbs the entire family, and singleton rows absorb every
+    row containing their word.  :func:`_minimal_rows` finishes the
+    reduction once per latency on the pooled table.
+    """
     if rows.shape[0] and not rows[0].any():
-        # The all-zero row is the empty option set, and canonical order
-        # sorts it first: it absorbs the entire family (see _cheap_reduce).
         return rows[:1]
     lengths = (rows != np.uint64(0)).sum(axis=1)
     singles = rows[lengths == 1, 0]
@@ -772,8 +655,53 @@ def _reduce_rows(rows: np.ndarray) -> np.ndarray:
     return rows[(lengths == 1) | ~hit]
 
 
+def _minimal_rows(rows: np.ndarray) -> np.ndarray:
+    """⊆-minimal antichain of unique, canonically ordered packed rows.
+
+    A row is dropped when one of its proper non-empty subsets is also a
+    row (covering the subset's options necessarily covers the row's):
+    every length-``L`` row probes its ``2**L - 2`` sub-rows against the
+    sorted row keys; ``L ≤ latency``, so the probes are few.  The
+    all-zero row is unsatisfiable and absorbs everything; it is kept
+    alone so callers notice.
+    """
+    if not rows.shape[0] or not rows[0].any():
+        return rows[:1]
+    keys = np.sort(_row_keys(rows))
+    lengths = (rows != np.uint64(0)).sum(axis=1)
+    dominated = np.zeros(rows.shape[0], dtype=bool)
+    for length in range(2, rows.shape[1] + 1):
+        members = np.flatnonzero(lengths == length)
+        if not members.size:
+            continue
+        block = rows[members]
+        for mask in range(1, (1 << length) - 1):
+            columns = [col for col in range(length) if mask >> col & 1]
+            probes = np.zeros_like(block)
+            probes[:, : len(columns)] = block[:, columns]
+            probe_keys = _row_keys(probes)
+            found = np.searchsorted(keys, probe_keys)
+            found[found == keys.shape[0]] = 0
+            dominated[members[keys[found] == probe_keys]] = True
+    return rows[~dominated]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque, comparable key per packed row (equal iff rows equal)."""
+    return (
+        np.ascontiguousarray(rows, dtype=">u8")
+        .view(f"V{8 * rows.shape[1]}")
+        .ravel()
+    )
+
+
 def _subset_rows(rows: np.ndarray, size: int) -> np.ndarray:
-    """:func:`_deterministic_subset` on canonically ordered packed rows."""
+    """Evenly-spaced deterministic subsample of canonically ordered rows.
+
+    Always returns exactly ``min(size, len(rows))`` rows, in order: the
+    evenly-spaced positions are deduplicated and topped up with the
+    smallest unused ones (:func:`_subset_positions`).
+    """
     if size >= rows.shape[0]:
         return rows
     positions = _subset_positions(rows.shape[0], size)
@@ -993,9 +921,8 @@ class _FaultExtractor:
         """Minimal antichain of packed option-set rows over depth-``depth``
         paths from the pair, memoized per ``(pair, depth)``.
 
-        Rows are canonically ordered; the partial antichain reduction is
-        the packed-row twin of :func:`_cheap_reduce`, applied exactly as
-        the frozenset implementation did per memo entry.  A key lands in
+        Rows are canonically ordered and partially antichain-reduced
+        (:func:`_reduce_rows`) per memo entry.  A key lands in
         ``truncated_keys`` iff its *subtree* hit the suffix limit, so any
         latency subset derived later reproduces the exact truncation flag
         a fresh enumeration of that subset would report.

@@ -56,7 +56,7 @@ from repro.ced.hardware import CedHardware
 from repro.core.detectability import TableConfig, input_alphabet
 from repro.faults.block import FaultResponseBlock
 from repro.faults.collapse import FaultSelection, select_stuck_at_faults
-from repro.faults.model import Fault, is_netlist_fault
+from repro.faults.model import Fault, StuckAtModel, is_netlist_fault
 from repro.logic.synthesis import SynthesisResult
 from repro.runtime.trace import current_tracer
 
@@ -528,8 +528,10 @@ def _compute_certificate(
         degraded=degraded,
     )
     synthesis = design.synthesis
+    # Certify the faults the design covered: its StuckAtModel samples with
+    # the model's default seed, whatever seed the solve used.
     selection: FaultSelection = select_stuck_at_faults(
-        synthesis, max_faults=config.max_faults, seed=config.seed
+        synthesis, max_faults=config.max_faults, seed=StuckAtModel.seed
     )
     faults = list(selection.checked)
     alphabet, input_mode = input_alphabet(

@@ -16,6 +16,11 @@ from repro.core.detectability import (
 from repro.faults.model import TransitionFaultModel
 from repro.fsm.benchmarks import load_benchmark
 from repro.logic.synthesis import synthesize_fsm
+from tests.oracles.option_sets import (
+    canonical_order,
+    cheap_reduce,
+    deterministic_subset,
+)
 
 
 class TestConfig:
@@ -155,37 +160,32 @@ class TestDeterministicSubset:
         return {frozenset({index, count + index}) for index in range(count)}
 
     def test_exact_size_across_sweep(self):
-        from repro.core.detectability import _deterministic_subset
-
         for total in (1, 2, 3, 7, 10, 97, 256, 1000):
             family = self._family(total)
             for size in (1, 2, 3, total // 2, total - 1, total, total + 5):
                 if size <= 0:
                     continue
-                subset = _deterministic_subset(family, size)
+                subset = deterministic_subset(family, size)
                 assert len(subset) == min(size, total)
                 assert subset <= family
 
     def test_deterministic_and_order_insensitive(self):
-        from repro.core.detectability import _deterministic_subset
-
         family = self._family(50)
-        first = _deterministic_subset(set(family), 13)
-        second = _deterministic_subset(set(sorted(family, key=sorted)), 13)
+        first = deterministic_subset(set(family), 13)
+        second = deterministic_subset(set(sorted(family, key=sorted)), 13)
         assert first == second
 
 
 class TestPackedRowTwins:
     """The packed-row hot path must be an exact transcription of the
-    frozenset reference algebra: same family, same canonical order."""
+    frozenset reference algebra (``tests/oracles/option_sets.py``): same
+    family, same canonical order."""
 
     WORDS = st.integers(min_value=1, max_value=2**63 - 1)
 
     @staticmethod
     def _pack(family):
-        from repro.core.detectability import _canonical_order
-
-        ordered = _canonical_order(list(family))
+        ordered = canonical_order(family)
         width = max((len(s) for s in ordered), default=0) or 1
         rows = np.zeros((len(ordered), width), dtype=np.uint64)
         for index, options in enumerate(ordered):
@@ -207,14 +207,14 @@ class TestPackedRowTwins:
         )
     )
     def test_unique_rows_is_canonical_order(self, sets):
-        from repro.core.detectability import _canonical_order, _unique_rows
+        from repro.core.detectability import _unique_rows
 
         width = max(len(s) for s in sets)
         rows = np.zeros((len(sets), width), dtype=np.uint64)
         for index, options in enumerate(sets):
             rows[index, : len(options)] = sorted(options)
         unique = _unique_rows(rows)
-        assert self._unpack(unique) == _canonical_order(set(sets))
+        assert self._unpack(unique) == canonical_order(set(sets))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -225,10 +225,10 @@ class TestPackedRowTwins:
         )
     )
     def test_reduce_rows_matches_cheap_reduce(self, family):
-        from repro.core.detectability import _cheap_reduce, _reduce_rows
+        from repro.core.detectability import _reduce_rows
 
         reduced = self._unpack(_reduce_rows(self._pack(family)))
-        assert set(reduced) == _cheap_reduce(family)
+        assert set(reduced) == cheap_reduce(family)
         assert len(reduced) == len(set(reduced))
 
     @settings(max_examples=200, deadline=None)
@@ -241,13 +241,10 @@ class TestPackedRowTwins:
         st.integers(min_value=1, max_value=45),
     )
     def test_subset_rows_matches_deterministic_subset(self, family, size):
-        from repro.core.detectability import (
-            _deterministic_subset,
-            _subset_rows,
-        )
+        from repro.core.detectability import _subset_rows
 
         subset = self._unpack(_subset_rows(self._pack(family), size))
-        assert set(subset) == _deterministic_subset(family, size)
+        assert set(subset) == deterministic_subset(family, size)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -309,13 +306,13 @@ class TestPackedRowTwins:
         assert np.array_equal(batch, small)
 
     def test_reduce_rows_empty_set_absorbs(self):
-        from repro.core.detectability import _cheap_reduce, _reduce_rows
+        from repro.core.detectability import _reduce_rows
 
         rows = np.array(
             [[0, 0], [3, 0], [3, 5]], dtype=np.uint64
         )
         reduced = _reduce_rows(rows)
         assert reduced.tolist() == [[0, 0]]
-        assert _cheap_reduce({frozenset(), frozenset({3}), frozenset({3, 5})}) == {
+        assert cheap_reduce({frozenset(), frozenset({3}), frozenset({3, 5})}) == {
             frozenset()
         }

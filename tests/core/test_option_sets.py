@@ -1,16 +1,31 @@
-"""Tests for the canonical option-set representation of the table."""
+"""Tests for the canonical option-set representation of the table.
+
+The frozenset algebra under test here is the reference in
+``tests/oracles/option_sets.py``; ``TestPackedPooling`` holds the packed
+pooling of ``tables_from_state`` to it byte for byte.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cover import covers_all
 from repro.core.detectability import (
     DetectabilityTable,
+    ExtractionFrontier,
+    ExtractionState,
+    RowMeta,
+    TableConfig,
+    tables_from_state,
+)
+from repro.runtime.trace import Tracer, use_tracer
+from repro.util.rng import rng_for
+from tests.oracles.option_sets import (
     minimal_option_sets,
     pack_option_sets,
+    pooled_table,
 )
-from repro.core.cover import covers_all
 
 
 def families(max_word=15, max_size=3, max_sets=8):
@@ -88,6 +103,104 @@ class TestPacking:
         # β = 0b01 covers the first set (via word 0b01) and the second
         # (0b11 & 0b01 has odd parity).
         assert covers_all(rows, [0b01])
+
+
+def _packed(option_sets, width):
+    """Ascending, zero-padded packed rows of width ``width``."""
+    rows = np.zeros((len(option_sets), width), dtype=np.uint64)
+    for index, options in enumerate(option_sets):
+        rows[index, : len(options)] = sorted(options)
+    return rows
+
+
+@st.composite
+def fault_row_families(draw):
+    """Per-fault packed rows at one latency p ∈ 1..4, as a state holds
+    them: width p, words ascending, zero-padded, the all-zero (empty
+    option set) row allowed.  Small words make subset relations common."""
+    p = draw(st.integers(min_value=1, max_value=4))
+    option_set = st.frozensets(
+        st.integers(min_value=1, max_value=12), max_size=p
+    )
+    faults = draw(
+        st.lists(st.lists(option_set, max_size=12), max_size=5)
+    )
+    return p, [_packed(sets, p) for sets in faults]
+
+
+class TestPackedPooling:
+    """``tables_from_state`` pools on packed rows; the frozenset path —
+    pool, ``minimal_option_sets``, ``pack_option_sets``, row cap — is the
+    reference it must match byte for byte."""
+
+    @staticmethod
+    def _state(p, fault_rows):
+        frontiers = []
+        for index, rows in enumerate(fault_rows):
+            frontier = ExtractionFrontier(fault_name=f"f{index}")
+            frontier.rows[p] = rows
+            frontier.row_meta[p] = RowMeta(
+                raw=rows.shape[0],
+                reduced=rows.shape[0],
+                capped=False,
+                suffix_truncated=False,
+            )
+            frontiers.append(frontier)
+        return ExtractionState(
+            fsm_name="synthetic",
+            semantics="trajectory",
+            num_bits=4,
+            alphabet=np.arange(2, dtype=np.int64),
+            input_mode="exhaustive",
+            reachable=[0],
+            fault_names=tuple(f.fault_name for f in frontiers),
+            frontiers=frontiers,
+            latencies={p},
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(fault_row_families(), st.integers(min_value=1, max_value=8))
+    def test_matches_frozenset_reference(self, family, max_rows):
+        p, fault_rows = family
+        config = TableConfig(latency=4, max_rows=max_rows, seed=11)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            table = tables_from_state(self._state(p, fault_rows), config, [p])[p]
+        expected, pooled, minimal = pooled_table(
+            fault_rows, max_rows, rng_for(11, "row-cap", "synthetic", p)
+        )
+        assert table.rows.dtype == expected.dtype
+        assert table.rows.shape == expected.shape
+        assert table.rows.tobytes() == expected.tobytes()
+        assert table.stats.truncated == (minimal > max_rows)
+        (event,) = [
+            r["attrs"] for r in tracer.records if r["name"] == "tables.latency"
+        ]
+        assert event["pooled_option_sets"] == pooled
+        assert event["minimal_option_sets"] == minimal
+        assert event["row_capped"] == (minimal > max_rows)
+
+    def test_cap_keeps_the_width_of_the_whole_antichain(self):
+        # The one 3-word row is the widest; a cap that drops it must not
+        # narrow the stored table.
+        rows = _packed(
+            [frozenset({1}), frozenset({2}), frozenset({3, 4, 5})], 3
+        )
+        config = TableConfig(latency=3, max_rows=1, seed=0)
+        state = self._state(3, [rows])
+        table = tables_from_state(state, config, [3])[3]
+        expected, _, _ = pooled_table(
+            [rows], 1, rng_for(0, "row-cap", "synthetic", 3)
+        )
+        assert table.rows.shape == (1, 3)
+        assert table.rows.tobytes() == expected.tobytes()
+
+    def test_empty_option_set_is_kept_alone(self):
+        rows = _packed([frozenset(), frozenset({3}), frozenset({3, 5})], 2)
+        table = tables_from_state(
+            self._state(2, [rows]), TableConfig(latency=2), [2]
+        )[2]
+        assert table.rows.tolist() == [[0]]
 
 
 class TestTableContainer:

@@ -19,7 +19,7 @@ from repro.ced.checker import CedMachine
 from repro.ced.verify import verify_bounded_latency
 from repro.core.search import SolveConfig
 from repro.faults.collapse import select_stuck_at_faults
-from repro.faults.model import is_netlist_fault
+from repro.faults.model import StuckAtModel, is_netlist_fault
 from repro.flow import design_ced
 from repro.fsm.benchmarks import HAND_WRITTEN
 from repro.runtime.cache import ArtifactCache, NullCache
@@ -189,6 +189,33 @@ def test_certificate_byte_identical_across_runs_and_cache(tmp_path):
         == certificate_json(fresh)
     )
     parse_certificate(certificate_json(cold))  # schema round-trip
+
+
+def test_certificate_checks_the_designs_fault_sample(monkeypatch):
+    """A non-default seed must not change which faults are certified.
+
+    The design's fault model samples with its own default seed; a
+    certificate that re-sampled with ``config.seed`` checked faults the
+    design never covered (dk16 reported an escape at seed 7).
+    """
+    checked = []
+
+    def recording_check(synthesis, hardware, faults, *args, **kwargs):
+        checked.extend(fault.name for fault in faults)
+        return exhaustive_check(synthesis, hardware, faults, *args, **kwargs)
+
+    monkeypatch.setattr(
+        "repro.verification.exhaustive.exhaustive_check", recording_check
+    )
+    config = ExhaustiveConfig(latency=2, max_faults=20, seed=7)
+    certificate = verify_exhaustive("dk16", config)
+    design = design_ced(
+        "dk16", latency=2, max_faults=20, solve_config=SolveConfig(seed=7)
+    )
+    designed = StuckAtModel(design.synthesis, max_faults=20).faults()
+    assert checked == [fault.name for fault in designed]
+    assert certificate["summary"]["bound_holds"]
+    assert certificate["faults"]["escaped"] == 0
 
 
 def test_fallback_above_state_budget_is_marked_sampled():
