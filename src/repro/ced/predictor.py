@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.detectability import TableConfig, input_alphabet, reachable_state_codes
+from repro.core.detectability import TableConfig, input_alphabet
+from repro.faults.block import _closure
 from repro.logic.cover import Cover
 from repro.logic.espresso import espresso
 from repro.logic.netlist import GateKind, Netlist
@@ -107,16 +108,15 @@ def _sop_predictor(
 
     dc = np.zeros(space, dtype=bool)
     if unreachable_dc:
-        reachable = set(
-            reachable_state_codes(
-                synthesis, input_alphabet(synthesis, TableConfig())[0]
-            )
+        # Minterm (code << r) | input holds the good next state in its low
+        # word bits, so reachability reads the words just simulated.
+        r = synthesis.num_inputs
+        alphabet = input_alphabet(synthesis, TableConfig())[0]
+        next_state = words.reshape(-1, 1 << r)[:, alphabet] & np.int64(
+            (1 << synthesis.num_state_bits) - 1
         )
-        state_codes = np.arange(space) >> synthesis.num_inputs
-        reachable_mask = np.isin(
-            state_codes, np.array(sorted(reachable), dtype=np.int64)
-        )
-        dc = ~reachable_mask
+        reachable = _closure(next_state, [synthesis.reset_code])
+        dc = ~np.isin(np.arange(space) >> r, reachable)
 
     covers: list[Cover] = []
     for beta in betas:

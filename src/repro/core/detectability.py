@@ -58,7 +58,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.faults.block import FaultResponseBlock, block_patterns, pack_words
+from repro.faults.block import (
+    FaultResponseBlock,
+    all_codes_fit,
+    block_patterns,
+    pack_words,
+    reach_levels,
+)
 from repro.faults.model import Fault, FaultModel, is_netlist_fault
 from repro.logic.sim import evaluate_batch
 from repro.logic.synthesis import SynthesisResult
@@ -199,23 +205,18 @@ def input_alphabet(
 
 
 def reachable_state_codes(
-    synthesis: SynthesisResult, alphabet: np.ndarray
+    synthesis: SynthesisResult,
+    alphabet: np.ndarray,
+    block: FaultResponseBlock | None = None,
 ) -> list[int]:
-    """State codes reachable from reset in the synthesized good machine."""
-    evaluator = _StateEvaluator(synthesis, alphabet)
-    seen = {synthesis.reset_code}
-    frontier = [synthesis.reset_code]
-    while frontier:
-        evaluator.ensure(frontier)
-        next_frontier: list[int] = []
-        for code in frontier:
-            _, next_codes = evaluator.info(code)
-            for next_code in {int(c) for c in next_codes}:
-                if next_code not in seen:
-                    seen.add(next_code)
-                    next_frontier.append(next_code)
-        frontier = next_frontier
-    return sorted(seen)
+    """State codes reachable from reset in the synthesized good machine.
+
+    Good words of codes ``block`` holds are sliced from it; the rest of
+    each frontier is simulated.
+    """
+    evaluator = _StateEvaluator(synthesis, alphabet, block)
+    levels = reach_levels(evaluator.successors, [synthesis.reset_code])
+    return sorted(code for level in levels for code in level)
 
 
 # ----------------------------------------------------------------------
@@ -357,8 +358,12 @@ def new_extraction_state(
 ) -> ExtractionState:
     """Latency-independent setup: alphabet, reachability, fault universe."""
     alphabet, input_mode = input_alphabet(synthesis, config)
-    reachable = reachable_state_codes(synthesis, alphabet)
     faults = fault_model.faults()
+    block = None
+    if hasattr(fault_model, "response_block") and all_codes_fit(synthesis, alphabet):
+        # Every code fits, so the reachable-codes fallback is never read.
+        block = fault_model.response_block(alphabet, ())
+    reachable = reachable_state_codes(synthesis, alphabet, block)
     return ExtractionState(
         fsm_name=synthesis.fsm.name,
         semantics=config.semantics,
@@ -784,6 +789,12 @@ class _StateEvaluator:
         if code not in self._cache:
             self.ensure([code])
         return self._cache[code]
+
+    def successors(self, codes: list[int]) -> list[list[int]]:
+        """Next-state codes per code, one per alphabet input (the
+        :func:`~repro.faults.block.reach_levels` step)."""
+        self.ensure(codes)
+        return [self._cache[code][1].tolist() for code in codes]
 
 
 class _FaultExtractor:

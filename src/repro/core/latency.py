@@ -30,7 +30,9 @@ from repro.core.detectability import (
     input_alphabet,
     reachable_state_codes,
 )
+from repro.faults.block import reach_levels
 from repro.faults.model import Fault, FaultModel
+from repro.fsm.analysis import shortest_cycle_through
 from repro.logic.synthesis import SynthesisResult
 
 
@@ -80,31 +82,14 @@ def _shortest_faulty_cycle(
         return None
 
     # Close the faulty machine's transition relation from the activations.
-    graph = nx.DiGraph()
-    graph.add_nodes_from(activations)
-    frontier = sorted(activations)
-    seen = set(frontier)
-    while frontier:
-        bad.ensure(frontier)
-        next_frontier: list[int] = []
-        for code in frontier:
-            for nxt in {int(v) for v in bad.info(code)[1]}:
-                graph.add_edge(code, nxt)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    next_frontier.append(nxt)
-        frontier = next_frontier
-
-    best: int | None = None
-    for node in graph.nodes:
-        if graph.has_edge(node, node):
-            return 1
-        for successor in graph.successors(node):
-            try:
-                back = nx.shortest_path_length(graph, successor, node)
-            except nx.NetworkXNoPath:
-                continue
-            candidate = 1 + back
-            if best is None or candidate < best:
-                best = candidate
-    return best
+    levels = reach_levels(bad.successors, sorted(activations))
+    graph = nx.DiGraph(
+        (code, successor)
+        for level in levels
+        for code in level
+        for successor in set(bad.info(code)[1].tolist())
+    )
+    if nx.number_of_selfloops(graph):
+        return 1
+    lengths = (shortest_cycle_through(graph, node) for node in graph.nodes)
+    return min((length for length in lengths if length is not None), default=None)

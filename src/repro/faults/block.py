@@ -10,11 +10,14 @@ shared :class:`~repro.logic.sim.PackedSimulator`, stored while the stored
 matrices total at most :data:`RESPONSE_BYTE_BUDGET` bytes and recomputed
 past it.  Faulty words are a pure function of (netlist, fault, pattern),
 so a stored read and a recomputed one never differ.
+
+Reachability over that layout lives here too, one walk for every layer:
+:func:`reach_levels`, :func:`back_walk` and the set-only :func:`_closure`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -108,3 +111,70 @@ class FaultResponseBlock:
         words = pack_words(responses).reshape(len(self.codes), len(self.alphabet))
         words.flags.writeable = False
         return words
+
+
+def reach_levels(
+    step: Callable[[list[int]], Iterable[Sequence[int]]], start: Iterable[int]
+) -> list[list[int]]:
+    """Breadth-first levels of the codes reachable from ``start``.
+
+    ``step(frontier)`` returns one row of successor codes per frontier
+    code, in frontier order; ``-1`` marks a blocked edge.  Level 0 is
+    ``start`` without repeats, and each later level lists the codes first
+    reached from the one before in discovery order: frontier order first,
+    then row (input) order.  :func:`back_walk` relies on that order.
+    """
+    level = list(dict.fromkeys(int(code) for code in start))
+    seen = set(level)
+    levels: list[list[int]] = []
+    while level:
+        levels.append(level)
+        upcoming: list[int] = []
+        for row in step(level):
+            for successor in row:
+                if successor >= 0 and successor not in seen:
+                    seen.add(successor)
+                    upcoming.append(successor)
+        level = upcoming
+    return levels
+
+
+def back_walk(
+    levels: Sequence[Sequence[int]],
+    next_state: np.ndarray,
+    allowed: np.ndarray,
+    code: int,
+) -> tuple[int, list[int]]:
+    """A path from ``levels[0]`` to ``code`` (a member of ``levels[-1]``).
+
+    Each step back takes the first code of the previous level, in that
+    level's stored order, with an ``allowed`` edge into the current code,
+    then that code's smallest such input column.  On :func:`reach_levels`
+    levels this is exactly the edge that discovered the current code, so
+    the path is the walk's own parent chain.  Returns the start code and
+    the input columns, first step first.
+    """
+    columns: list[int] = []
+    for level in reversed(levels[:-1]):
+        for source in level:
+            hits = np.flatnonzero(allowed[source] & (next_state[source] == code))
+            if hits.size:
+                break
+        columns.append(int(hits[0]))  # IndexError: no edge into ``code``
+        code = int(source)
+    columns.reverse()
+    return code, columns
+
+
+def _closure(next_state: np.ndarray, start: Sequence[int]) -> np.ndarray:
+    """Sorted codes reachable from ``start`` under ``next_state`` (every
+    column an edge): a numpy fixpoint for callers that need only the set."""
+    seen = np.zeros(next_state.shape[0], dtype=bool)
+    seen[start] = True
+    count = np.count_nonzero(seen)
+    while True:
+        seen[next_state[seen]] = True
+        grown = np.count_nonzero(seen)
+        if grown == count:
+            return np.flatnonzero(seen)
+        count = grown

@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.faults.block import FaultResponseBlock, all_codes_fit
+from repro.faults.block import FaultResponseBlock, _closure, all_codes_fit
 from repro.logic.netlist import GateKind, Netlist
 from repro.runtime.trace import current_tracer
 
@@ -225,19 +225,6 @@ class SignatureEngine:
         words = self.block.faulty_words(payload)
         closure = _closure(words & self.state_mask, self.good_reachable)
         return closure.tobytes() + words[closure].tobytes()
-
-
-def _closure(next_state: np.ndarray, start) -> np.ndarray:
-    """Sorted state codes reachable from ``start`` under ``next_state``."""
-    seen = np.zeros(next_state.shape[0], dtype=bool)
-    seen[start] = True
-    count = len(start)
-    while True:
-        seen[next_state[seen]] = True
-        grown = np.count_nonzero(seen)
-        if grown == count:
-            return np.flatnonzero(seen)
-        count = grown
 
 
 def signature_block(synthesis: "SynthesisResult") -> FaultResponseBlock | None:

@@ -49,7 +49,11 @@ class FaultModel(Protocol):
     ``alphabet`` whose :meth:`~repro.faults.block.FaultResponseBlock.faulty_words`
     serve its netlist stuck-at faults: the extractor then reads each
     fault's words for every code the block holds instead of simulating
-    again.  Models without it (re-synthesized faults such as
+    again.  When every state code on ``alphabet`` fits
+    :data:`~repro.faults.block.PATTERN_LIMIT` the block holds every code
+    and ``reachable`` is not read: extraction asks for it before it knows
+    the reachable set, to read the good machine's words from it too.
+    Models without it (re-synthesized faults such as
     :class:`TransitionFaultModel`), non-netlist faults and codes outside
     the block are served through :meth:`faulty_responses`.
     """

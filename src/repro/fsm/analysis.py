@@ -34,27 +34,17 @@ def reachable_states(fsm: FSM, source: str | None = None) -> set[str]:
     return {start} | nx.descendants(graph, start)
 
 
+def shortest_cycle_through(graph: nx.DiGraph, node) -> int | None:
+    """Length of the shortest directed cycle through ``node`` (None if none)."""
+    back = dict(nx.single_target_shortest_path_length(graph, node))
+    lengths = (1 + back[succ] for succ in graph.successors(node) if succ in back)
+    return min(lengths, default=None)
+
+
 def shortest_cycle_lengths(fsm: FSM) -> dict[str, int | None]:
     """Per state: length of the shortest cycle through it (None if acyclic)."""
     graph = nx.DiGraph(transition_graph(fsm))
-    lengths: dict[str, int | None] = {}
-    for state in fsm.states:
-        if graph.has_edge(state, state):
-            lengths[state] = 1
-            continue
-        best: int | None = None
-        for successor in graph.successors(state):
-            if successor == state:
-                continue
-            try:
-                back = nx.shortest_path_length(graph, successor, state)
-            except nx.NetworkXNoPath:
-                continue
-            candidate = 1 + back
-            if best is None or candidate < best:
-                best = candidate
-        lengths[state] = best
-    return lengths
+    return {state: shortest_cycle_through(graph, state) for state in fsm.states}
 
 
 def self_loop_fraction(fsm: FSM) -> float:

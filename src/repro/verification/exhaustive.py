@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.ced.hardware import CedHardware
 from repro.core.detectability import TableConfig, input_alphabet
-from repro.faults.block import FaultResponseBlock
+from repro.faults.block import FaultResponseBlock, _closure, back_walk, reach_levels
 from repro.faults.collapse import FaultSelection, select_stuck_at_faults
 from repro.faults.model import Fault, StuckAtModel, is_netlist_fault
 from repro.logic.synthesis import SynthesisResult
@@ -219,10 +219,6 @@ def exhaustive_check(
         else np.zeros_like(block.good_words)
     )
     good_next = block.good_words & np.int64(len(block.codes) - 1)
-    no_error = np.zeros(good_next.shape, dtype=bool)
-    good_reach, _ = _restricted_reachable(
-        good_next, no_error, synthesis.reset_code
-    )
 
     tracer = current_tracer()
     report = ExhaustiveReport(
@@ -231,7 +227,7 @@ def exhaustive_check(
         input_mode=input_mode,
         num_state_bits=synthesis.num_state_bits,
         num_patterns=block.num_patterns,
-        reachable_good=[int(c) for c in np.nonzero(good_reach)[0]],
+        reachable_good=_closure(good_next, [synthesis.reset_code]).tolist(),
     )
     activation_union = np.zeros(len(block.codes), dtype=bool)
     witnesses_left = max_witnesses
@@ -296,7 +292,12 @@ def _check_fault(
     # Activation points: reachable through error-free faulty transitions
     # (before the first error, the faulty machine tracks the good one),
     # then an erroneous step.
-    act_reach, parents = _restricted_reachable(next_state, erroneous, reset)
+    error_free = np.where(erroneous, -1, next_state).tolist()
+    reset_levels = reach_levels(
+        lambda frontier: [error_free[code] for code in frontier], [reset]
+    )
+    act_reach = np.zeros(len(block.codes), dtype=bool)
+    act_reach[[code for level in reset_levels for code in level]] = True
     activations = act_reach[:, None] & erroneous
     num_activations = int(activations.sum())
     if num_activations == 0:
@@ -327,17 +328,36 @@ def _check_fault(
         )
     witness = None
     if want_witness:
-        witness = _escape_witness(
-            fault_name=fault.name,
-            levels=levels,
-            next_state=next_state,
-            detected=detected,
-            undetected_act=undetected_act,
-            parents=parents,
-            alphabet=block.alphabet,
-            reset=reset,
-            latency=latency,
+        # Three back-walks, each taking the first code of the previous
+        # level and then the smallest input: from the smallest escaping
+        # state through the sorted undetected frontiers, one undetected
+        # erroneous step to the smallest activation state, and the
+        # error-free prefix through the levels of the walk from reset.
+        current, continuation = back_walk(
+            [level.tolist() for level in levels],
+            next_state,
+            ~detected,
+            int(levels[-1][0]),
         )
+        act_codes = np.flatnonzero(undetected_act.any(axis=1)).tolist()
+        activation, (column,) = back_walk(
+            [act_codes, [current]], next_state, undetected_act, current
+        )
+        depth = next(
+            d for d, level in enumerate(reset_levels) if activation in level
+        )
+        _, prefix = back_walk(
+            reset_levels[: depth + 1], next_state, ~erroneous, activation
+        )
+        witness = {
+            "fault": fault.name,
+            "inputs": [
+                int(block.alphabet[c]) for c in prefix + [column] + continuation
+            ],
+            "activation_cycle": len(prefix),
+            "activation_state": activation,
+            "latency": latency,
+        }
     return (
         FaultVerdict(
             fault.name, "escape", None, num_activations, witness
@@ -356,90 +376,6 @@ def _parity_words(words: np.ndarray, betas: Sequence[int]) -> np.ndarray:
             masked = masked ^ (masked >> np.int64(shift))
         out |= (masked & one) << np.int64(index)
     return out
-
-
-def _restricted_reachable(
-    next_state: np.ndarray, blocked: np.ndarray, reset: int
-) -> tuple[np.ndarray, dict[int, tuple[int, int] | None]]:
-    """BFS from reset over non-blocked edges; mask + parent pointers.
-
-    Iteration order (states in discovery order, inputs ascending) is
-    deterministic, so the recorded parents — and every witness built from
-    them — are stable across runs.
-    """
-    reach = np.zeros(next_state.shape[0], dtype=bool)
-    reach[reset] = True
-    parents: dict[int, tuple[int, int] | None] = {reset: None}
-    frontier = [reset]
-    while frontier:
-        upcoming: list[int] = []
-        for code in frontier:
-            allowed = np.nonzero(~blocked[code])[0]
-            for column in allowed.tolist():
-                successor = int(next_state[code, column])
-                if not reach[successor]:
-                    reach[successor] = True
-                    parents[successor] = (code, column)
-                    upcoming.append(successor)
-        frontier = upcoming
-    return reach, parents
-
-
-def _escape_witness(
-    fault_name: str,
-    levels: list[np.ndarray],
-    next_state: np.ndarray,
-    detected: np.ndarray,
-    undetected_act: np.ndarray,
-    parents: dict[int, tuple[int, int] | None],
-    alphabet: np.ndarray,
-    reset: int,
-    latency: int,
-) -> dict:
-    """A concrete input sequence from reset that evades detection.
-
-    Walks the stored frontiers backwards (smallest state / input at every
-    choice, so the witness is deterministic), then prepends the error-free
-    prefix recorded by the activation BFS.
-    """
-    current = int(levels[-1].min())
-    continuation: list[int] = []
-    for level in range(len(levels) - 1, 0, -1):
-        source = None
-        for code in levels[level - 1].tolist():
-            columns = np.nonzero(
-                ~detected[code] & (next_state[code] == current)
-            )[0]
-            if columns.size:
-                source = (int(code), int(columns[0]))
-                break
-        assert source is not None, "broken frontier chain"
-        continuation.append(int(alphabet[source[1]]))
-        current = source[0]
-    continuation.reverse()
-
-    activation = None
-    act_states, act_columns = np.nonzero(undetected_act)
-    for code, column in zip(act_states.tolist(), act_columns.tolist()):
-        if int(next_state[code, column]) == current:
-            activation = (int(code), int(column))
-            break
-    assert activation is not None, "activation lost"
-
-    prefix: list[int] = []
-    cursor: int | None = activation[0]
-    while parents[cursor] is not None:
-        cursor, column = parents[cursor]  # type: ignore[misc]
-        prefix.append(int(alphabet[column]))
-    prefix.reverse()
-    inputs = prefix + [int(alphabet[activation[1]])] + continuation
-    return {
-        "fault": fault_name,
-        "inputs": inputs,
-        "activation_cycle": len(prefix),
-        "activation_state": activation[0],
-        "latency": latency,
-    }
 
 
 def replay_witness(

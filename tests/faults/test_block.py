@@ -4,9 +4,10 @@ Block words must equal the per-fault ``evaluate_batch`` path
 (:meth:`StuckAtModel.faulty_responses`) on every code × alphabet cell,
 whether a read hits the stored matrix or recomputes past the byte budget;
 every consumer's output (tables in both semantics, exhaustive reports) is
-then identical with and without stored matrices.  The last test pins the
-point of the block: a certification simulates each structural survivor
-once per fault selection.
+then identical with and without stored matrices.  Two tests pin the
+point of the block: extraction set-up reads the good machine from it,
+and a certification simulates each structural survivor once per fault
+selection.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import detectability
 from repro.core.detectability import (
     TableConfig,
     extract_tables,
     input_alphabet,
+    new_extraction_state,
     reachable_state_codes,
 )
 from repro.core.search import SolveConfig
@@ -143,6 +146,24 @@ def test_tables_past_pattern_limit_use_reachable_block(monkeypatch):
     for latency, table in whole.items():
         assert np.array_equal(reached[latency].rows, table.rows)
         assert reached[latency].stats == table.stats
+
+
+def test_extraction_setup_reads_good_words_from_the_block(monkeypatch):
+    """With the selection's all-codes block on the analysis alphabet,
+    reachability slices its good words and simulates nothing."""
+    synthesis = synthesize_fsm(load_benchmark("dk512"))
+    model = StuckAtModel(synthesis)
+    assert model.selection().block is not None
+    expected = reachable_state_codes(
+        synthesis, input_alphabet(synthesis, TableConfig())[0]
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("good machine simulated outside the block")
+
+    monkeypatch.setattr(detectability, "evaluate_batch", refuse)
+    state = new_extraction_state(synthesis, model, TableConfig(latency=2))
+    assert state.reachable == expected
 
 
 def test_custom_alphabet_gets_its_own_block(vending_synthesis):
