@@ -32,10 +32,24 @@ multiplicity.  Rows are therefore canonicalized to **detection option
 sets** and reduced to the ⊆-minimal antichain (a path offering a superset
 of another path's options is implied by it).  This is an exact,
 optimum-preserving reduction of the paper's table, and it is what keeps
-the path enumeration tractable: suffix antichains are memoized per
-(reference state, faulty state, remaining depth), so loops and input
-vectors with identical behaviour collapse, and one extraction emits the
-tables for *all* latencies up to the configured bound.
+the path enumeration tractable: suffix antichains are stored per
+(fault, reference state, faulty state, remaining depth), so loops and
+input vectors with identical behaviour collapse, and one extraction emits
+the tables for *all* latencies up to the configured bound.
+
+The level engine
+----------------
+Extraction advances whole levels, not single paths.  A forward walk per
+fault (one read of its word matrix) finds the (reference, faulty) pairs
+each depth needs and each pair's distinct steps, gathered from the
+:class:`~repro.faults.block.FaultResponseBlock`.  The suffix antichains
+are then filled bottom-up: each depth is one packed ``uint64`` batch
+over every fault's new pairs, segmented by key, that inserts each step's
+difference word into its child's rows, deduplicates per key and applies
+the partial reduction per key.  Each fault's rows at latency ``p`` are
+the same batch one level up, with the activation branches as steps.
+Only a key whose raw child rows reach :data:`MAX_SUFFIXES_PER_STATE` is
+merged on its own, branch by branch, in the exact truncation order.
 
 Option sets are never materialized as Python sets: enumeration, pooling
 and minimisation all work on packed ``uint64`` rows (a set's words
@@ -54,7 +68,7 @@ per-row step permutation implied by canonicalization, which the Statement
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -72,6 +86,17 @@ from repro.runtime.trace import current_tracer
 
 SEMANTICS = ("trajectory", "checker")
 
+#: Safety valve on the stored per-pair suffix antichains.  Hitting it sets
+#: ``TableStats.truncated`` (the bounded-latency guarantee then only holds
+#: for the enumerated paths; consult the verifier).
+MAX_SUFFIXES_PER_STATE = 4096
+#: Per-fault and global caps on erroneous cases per latency.  The largest
+#: trajectory-semantics machines otherwise produce millions of distinct
+#: option sets; exceeding a cap subsamples deterministically and sets
+#: ``TableStats.truncated``.
+MAX_ROWS_PER_FAULT = 4000
+MAX_ROWS = 200_000
+
 
 @dataclass(frozen=True)
 class TableConfig:
@@ -88,16 +113,6 @@ class TableConfig:
     extra_random_inputs: int = 8
     #: Hard cap on the alphabet in cube mode (deterministic subsample).
     max_alphabet: int = 64
-    #: Safety valve on the memoized per-pair suffix antichains.  Hitting it
-    #: sets ``TableStats.truncated`` (the bounded-latency guarantee then
-    #: only holds for the enumerated paths; consult the verifier).
-    max_suffixes_per_state: int = 4096
-    #: Per-fault and global caps on erroneous cases per latency.  The
-    #: largest trajectory-semantics machines otherwise produce millions of
-    #: distinct option sets; exceeding a cap subsamples deterministically
-    #: and sets ``TableStats.truncated``.
-    max_rows_per_fault: int = 4000
-    max_rows: int = 200_000
     seed: int = 2004
 
     def __post_init__(self) -> None:
@@ -228,28 +243,31 @@ def reachable_state_codes(
 # 1. :func:`new_extraction_state` — the latency-independent setup (input
 #    alphabet, good-machine reachability, the fault universe) plus one
 #    empty :class:`ExtractionFrontier` per fault;
-# 2. :func:`extend_extraction_state` — per fault, discover the activation
-#    branches (once) and compute the reduced packed rows for every newly
-#    requested latency, growing the memoized suffix antichains in place.
-#    A latency-``p+1`` request extends the ``p`` enumeration's frontier:
-#    every ``(pair, depth)`` suffix antichain computed for ``p`` is
-#    reused verbatim, only the genuinely new keys are merged;
+# 2. :func:`extend_extraction_state` — discover each fault's activation
+#    branches (once), grow the state's per-depth :class:`SuffixLevel`
+#    tables by every key the newly requested latencies need, and derive
+#    each fault's reduced packed rows.  A latency-``p+1`` request extends
+#    the ``p`` enumeration: every ``(fault, pair, depth)`` suffix
+#    antichain computed for ``p`` is reused verbatim, only the genuinely
+#    new keys are merged;
 # 3. :func:`tables_from_state` — pool the per-fault rows of the requested
 #    latencies into canonical tables.
 #
-# Every memo entry is a pure function of its ``(pair, depth)`` key, and
-# per-entry *subtree* truncation flags record exactly which enumerations
-# hit ``max_suffixes_per_state`` — so a table derived from a state that
-# was grown over several requests is byte-identical to one extracted
-# from scratch for the same latency set.  The state is picklable: the
-# runtime persists it in a derived artifact-cache stage so warm sweeps
-# chain ``p=1 → 2 → 4`` across processes without recompute.
+# Every suffix entry is a pure function of its ``(fault, pair, depth)``
+# key, and per-entry *subtree* truncation flags record exactly which
+# enumerations hit :data:`MAX_SUFFIXES_PER_STATE` — so a table derived
+# from a state that was grown over several requests is byte-identical to
+# one extracted from scratch for the same latency set.  The state is
+# picklable: the runtime persists it in a derived artifact-cache stage so
+# warm sweeps chain ``p=1 → 2 → 4`` across processes without recompute.
 # ----------------------------------------------------------------------
 
 #: Bump when the pickled state layout changes (the cache salt already
 #: covers released schema changes; this guards same-version skew).
 #: Revision 2: states record the fault model's class multiplicities.
-STATE_SCHEMA = 2
+#: Revision 3: the suffix memo is one packed :class:`SuffixLevel` per
+#: depth on the state; frontiers keep branches and rows only.
+STATE_SCHEMA = 3
 
 
 @dataclass(frozen=True)
@@ -258,44 +276,52 @@ class RowMeta:
 
     raw: int  # deduplicated branch-extension rows before reduction
     reduced: int  # rows after the cheap antichain reduction
-    capped: bool  # hit max_rows_per_fault (deterministic subsample)
+    capped: bool  # hit MAX_ROWS_PER_FAULT (deterministic subsample)
     suffix_truncated: bool  # any suffix merge in this latency's subtree
-    # hit max_suffixes_per_state
+    # hit MAX_SUFFIXES_PER_STATE
 
 
 @dataclass
 class ExtractionFrontier:
-    """One fault's reusable enumeration frontier.
+    """One fault's latency-independent branches and per-latency rows.
 
     ``branches`` (the distinct activation ``(diff, good next, bad next)``
-    triples) and ``activations`` are latency-independent and discovered
-    once.  ``suffix_memo`` maps ``(reference, faulty, depth)`` to the
-    minimal antichain of packed option-set rows over depth-``depth``
-    paths from the pair — the quantity a deeper extraction extends
-    instead of recomputing.  ``truncated_keys`` holds every memo key
-    whose *subtree* hit ``max_suffixes_per_state``, so truncation flags
-    can be reproduced exactly for any latency subset.
+    triples, a ``(k, 3)`` int64 array in ascending row order) and
+    ``activations`` are discovered once.  ``rows`` and ``row_meta`` hold
+    the reduced, capped rows per latency that pooling consumes.
     """
 
     fault_name: str
     activations: int = 0
-    branches: list[tuple[int, int, int]] | None = None
-    step_memo: dict[tuple[int, int], list[tuple[int, int, int]]] = field(
-        default_factory=dict
-    )
-    suffix_memo: dict[tuple[int, int, int], np.ndarray] = field(
-        default_factory=dict
-    )
-    truncated_keys: set[tuple[int, int, int]] = field(default_factory=set)
+    branches: np.ndarray | None = None
     rows: dict[int, np.ndarray] = field(default_factory=dict)
     row_meta: dict[int, RowMeta] = field(default_factory=dict)
 
-    def approx_nbytes(self) -> int:
-        total = sum(arr.nbytes for arr in self.suffix_memo.values())
-        total += sum(arr.nbytes for arr in self.rows.values())
-        total += 96 * (len(self.suffix_memo) + len(self.step_memo))
-        total += 48 * sum(len(steps) for steps in self.step_memo.values())
-        return total
+
+@dataclass
+class SuffixLevel:
+    """Every fault's suffix antichains at one depth, as one packed table.
+
+    ``keys[i]`` is ``(fault index, reference, faulty)``, ascending in row
+    order.  Key ``i`` owns ``rows[offsets[i]:offsets[i + 1]]``: the
+    canonically ordered, partially reduced option-set rows (width
+    ``depth``) over the depth-long paths from the pair.  ``truncated[i]``
+    says whether its *subtree* hit :data:`MAX_SUFFIXES_PER_STATE`.
+    """
+
+    keys: np.ndarray  # (k, 3) int64
+    offsets: np.ndarray  # (k + 1,) int64
+    rows: np.ndarray  # (offsets[-1], depth) uint64
+    truncated: np.ndarray  # (k,) bool
+
+
+#: Depth 0: every pair has the one empty suffix, never truncated.
+_ROOT = SuffixLevel(
+    keys=np.zeros((0, 3), dtype=np.int64),
+    offsets=np.array([0, 1], dtype=np.int64),
+    rows=np.zeros((1, 0), dtype=np.uint64),
+    truncated=np.zeros(1, dtype=bool),
+)
 
 
 @dataclass
@@ -314,16 +340,22 @@ class ExtractionState:
     #: ``fault_names``); all ones for models without class collapsing.
     fault_multiplicities: tuple[int, ...] = ()
     latencies: set[int] = field(default_factory=set)
+    #: Suffix antichains of every fault, one table per depth >= 1.
+    suffixes: dict[int, SuffixLevel] = field(default_factory=dict)
     schema: int = STATE_SCHEMA
 
     def approx_nbytes(self) -> int:
         """Rough pickled size, used to bound what the cache persists."""
-        return self.alphabet.nbytes + sum(
-            frontier.approx_nbytes() for frontier in self.frontiers
-        )
+        total = self.alphabet.nbytes
+        for level in self.suffixes.values():
+            total += level.keys.nbytes + level.offsets.nbytes
+            total += level.rows.nbytes + level.truncated.nbytes
+        for frontier in self.frontiers:
+            total += sum(arr.nbytes for arr in frontier.rows.values())
+        return total
 
     def suffix_entries(self) -> int:
-        return sum(len(frontier.suffix_memo) for frontier in self.frontiers)
+        return sum(level.keys.shape[0] for level in self.suffixes.values())
 
 
 @dataclass(frozen=True)
@@ -399,11 +431,21 @@ def extend_extraction_state(
     config: TableConfig,
     latencies: Sequence[int] | None = None,
 ) -> ExtendStats:
-    """Grow the state to cover ``latencies``, reusing every memoized suffix.
+    """Grow the state to cover ``latencies``, reusing every stored suffix.
 
     Already-covered latencies cost nothing; new ones enumerate only the
-    suffix keys the previous extractions never needed.  Mutates ``state``
-    in place and returns reuse statistics.
+    suffix keys the previous extractions never needed.  Three passes:
+
+    1. per fault, one read of its word matrix discovers the activation
+       branches (once) and walks forward from them, depth by depth, to
+       the ``(reference, faulty)`` pairs each depth still lacks, with
+       each pair's distinct sorted steps;
+    2. the new keys are filled bottom-up, one packed batch per depth over
+       every fault (:func:`_fill_level`);
+    3. each fault's rows at each new latency are the same batch one level
+       up, keyed by fault, with the activation branches as steps.
+
+    Mutates ``state`` in place and returns reuse statistics.
     """
     latencies = _normalize_latencies(config, latencies)
     if config.semantics != state.semantics:
@@ -421,23 +463,35 @@ def extend_extraction_state(
         if block_for is not None
         else None
     )
+    trajectory = config.semantics == "trajectory"
+    reachable = np.asarray(state.reachable, dtype=np.int64)
     good = _StateEvaluator(synthesis, state.alphabet, block)
-    good.ensure(state.reachable)
-    for fault, frontier in zip(faults, state.frontiers):
-        extractor = _FaultExtractor(
-            synthesis,
-            fault_model,
-            fault,
-            state.alphabet,
-            good,
-            config,
-            block=block,
-            frontier=frontier,
+    mask = good.mask
+    good_reachable = good.words(reachable)
+    walk = _LevelWalk(state, needed, trajectory)
+    for index, (fault, frontier) in enumerate(zip(faults, state.frontiers)):
+        bad = _StateEvaluator(
+            synthesis, state.alphabet, block, fault_model, fault
         )
-        extractor.discover(state.reachable)
-        for p in needed:
-            if p not in frontier.rows:
-                extractor.rows_for(p)
+        if frontier.branches is None:
+            bad_reachable = bad.words(reachable)
+            diffs = good_reachable ^ bad_reachable
+            hit = diffs != 0
+            frontier.activations = int(np.count_nonzero(hit))
+            frontier.branches = _unique_rows(
+                np.stack(
+                    [
+                        diffs[hit],
+                        good_reachable[hit] & mask,
+                        bad_reachable[hit] & mask,
+                    ],
+                    axis=1,
+                )
+            )
+        walk.fault(index, frontier.branches, good, bad)
+    for depth in sorted(walk.found):
+        _fill_level(state, depth, walk.found.pop(depth))
+    _derive_rows(state, needed, trajectory)
     state.latencies.update(needed)
     return ExtendStats(
         tuple(needed), reused, state.suffix_entries() - reused
@@ -498,12 +552,12 @@ def tables_from_state(
         width = max(1, int((rows != np.uint64(0)).sum(axis=1).max(initial=0)))
         table_truncated = truncated
         row_capped = False
-        if rows.shape[0] > config.max_rows:
+        if rows.shape[0] > MAX_ROWS:
             from repro.util.rng import rng_for
 
             rng = rng_for(config.seed, "row-cap", state.fsm_name, p)
             chosen = rng.choice(
-                rows.shape[0], size=config.max_rows, replace=False
+                rows.shape[0], size=MAX_ROWS, replace=False
             )
             rows = rows[np.sort(chosen)]
             table_truncated = True
@@ -622,42 +676,40 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
-def _insert_word(block: np.ndarray, word: int) -> np.ndarray:
-    """Row-wise ``set | {word}`` on packed rows, one column wider.
+def _reduce_mask(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Partial antichain reduction per owner segment: the kept-row mask.
 
-    The ``-1 / sort / +1`` dance exploits uint64 wraparound to sort the
-    zero padding *after* the real words: ``0`` wraps to the maximum,
-    every nonzero word keeps its relative order.
+    Rows come owner-major (``owner`` ascending), each segment in
+    canonical order.  Within a segment, handles the two dominant cases
+    exactly: the all-zero row (the empty option set, which canonical
+    order sorts first) absorbs the segment, and singleton rows absorb
+    every row containing their word.  :func:`_minimal_rows` finishes the
+    reduction once per latency on the pooled table.
     """
-    count, width = block.shape
-    out = np.empty((count, width + 1), dtype=np.uint64)
-    out[:, :width] = block
-    out[:, width] = word
-    present = (block == np.uint64(word)).any(axis=1)
-    if present.any():
-        out[present, width] = 0  # already a member: pad, don't duplicate
-    tmp = out - np.uint64(1)
-    tmp.sort(axis=1)
-    return tmp + np.uint64(1)
+    lengths = np.count_nonzero(rows, axis=1)
+    first = _segment_starts(owner)
+    segment = np.maximum.accumulate(np.where(first, np.arange(owner.shape[0]), 0))
+    absorbed = (lengths == 0)[segment]  # the segment's first row is empty
+    single = lengths == 1
+    hit = np.zeros(rows.shape[0], dtype=bool)
+    if single.any():
+        # Tag (owner, word) by the word's slot in the singles' vocabulary;
+        # canonical order makes the singles' own tags ascending.
+        vocabulary = np.unique(rows[single, 0])
+        size = vocabulary.shape[0]
+        singles = owner[single] * size + np.searchsorted(vocabulary, rows[single, 0])
+        for column in rows.T:
+            slot = np.minimum(np.searchsorted(vocabulary, column), size - 1)
+            match = vocabulary[slot] == column
+            slot += owner * size
+            found = np.minimum(np.searchsorted(singles, slot), singles.shape[0] - 1)
+            hit |= match & (singles[found] == slot)
+    return np.where(absorbed, first, single | ~hit)
 
 
 def _reduce_rows(rows: np.ndarray) -> np.ndarray:
-    """Partial antichain reduction of canonically ordered packed rows.
-
-    Handles the two dominant cases exactly and keeps the order: the
-    all-zero row (the empty option set, which canonical order sorts
-    first) absorbs the entire family, and singleton rows absorb every
-    row containing their word.  :func:`_minimal_rows` finishes the
-    reduction once per latency on the pooled table.
-    """
-    if rows.shape[0] and not rows[0].any():
-        return rows[:1]
-    lengths = (rows != np.uint64(0)).sum(axis=1)
-    singles = rows[lengths == 1, 0]
-    if singles.size == 0:
-        return rows
-    hit = np.isin(rows, singles).any(axis=1)
-    return rows[(lengths == 1) | ~hit]
+    """:func:`_reduce_mask` of one canonically ordered family."""
+    return rows[_reduce_mask(rows, np.zeros(rows.shape[0], dtype=np.int64))]
 
 
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
@@ -692,7 +744,9 @@ def _minimal_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque, comparable key per packed row (equal iff rows equal)."""
+    """One opaque key per row of non-negative words: equal iff the rows
+    are, and ordered like the rows (big-endian bytes compare
+    lexicographically)."""
     return (
         np.ascontiguousarray(rows, dtype=">u8")
         .view(f"V{8 * rows.shape[1]}")
@@ -732,10 +786,11 @@ def extract_table(
 class _StateEvaluator:
     """Packed responses of the good machine (or of one fault), per code.
 
-    Codes ``block`` holds are sliced out of its good (or the fault's)
-    word matrix, read once; other codes, non-netlist faults and calls
-    without a block simulate the good netlist (or go through
-    :meth:`FaultModel.faulty_responses`).
+    With a block that holds every code, :meth:`words` is a gather from
+    its good (or the fault's) word matrix, read once.  Codes a
+    reachable-only block lacks, non-netlist faults and calls without a
+    block simulate the good netlist (or go through
+    :meth:`FaultModel.faulty_responses`) once per code.
     """
 
     def __init__(
@@ -751,387 +806,372 @@ class _StateEvaluator:
         self.fault_model = fault_model
         self.fault = fault
         self.block = block if fault is None or is_netlist_fault(fault) else None
+        self.mask = (1 << synthesis.num_state_bits) - 1
         self._words: np.ndarray | None = None
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._cache: dict[int, np.ndarray] = {}
 
-    def ensure(self, codes: list[int]) -> None:
-        missing = [code for code in codes if code not in self._cache]
-        mask = (1 << self.synthesis.num_state_bits) - 1
-        if missing and self.block is not None:
-            rest: list[int] = []
+    def _matrix(self) -> np.ndarray:
+        if self._words is None:
+            self._words = (
+                self.block.good_words
+                if self.fault is None
+                else self.block.faulty_words(self.fault.payload)
+            )
+        return self._words
+
+    def words(self, codes: Sequence[int] | np.ndarray) -> np.ndarray:
+        """``(len(codes), |alphabet|)`` packed responses of ``codes``."""
+        if self.block is not None and self.block.all_codes:
+            return self._matrix()[np.asarray(codes, dtype=np.int64)]
+        listed = [int(code) for code in codes]
+        missing = [c for c in dict.fromkeys(listed) if c not in self._cache]
+        if self.block is not None:
             for code in missing:
-                row = self.block.index.get(code)
-                if row is None:
-                    rest.append(code)
-                    continue
-                if self._words is None:
-                    self._words = (
-                        self.block.good_words
-                        if self.fault is None
-                        else self.block.faulty_words(self.fault.payload)
-                    )
-                words = self._words[row]
-                self._cache[code] = (words, words & mask)
-            missing = rest
-        if not missing:
-            return
-        patterns = block_patterns(self.synthesis, missing, self.alphabet)
-        if self.fault is None:
-            responses = evaluate_batch(self.synthesis.netlist, patterns)
-        else:
-            responses = self.fault_model.faulty_responses(self.fault, patterns)
-        packed = pack_words(responses).reshape(len(missing), -1)
-        for idx, code in enumerate(missing):
-            self._cache[code] = (packed[idx], packed[idx] & mask)
+                if code in self.block.index:
+                    self._cache[code] = self._matrix()[self.block.index[code]]
+            missing = [code for code in missing if code not in self._cache]
+        if missing:
+            patterns = block_patterns(self.synthesis, missing, self.alphabet)
+            if self.fault is None:
+                responses = evaluate_batch(self.synthesis.netlist, patterns)
+            else:
+                responses = self.fault_model.faulty_responses(self.fault, patterns)
+            packed = pack_words(responses).reshape(len(missing), -1)
+            self._cache.update(zip(missing, packed))
+        return np.array(
+            [self._cache[code] for code in listed], dtype=np.int64
+        ).reshape(len(listed), len(self.alphabet))
 
-    def info(self, code: int) -> tuple[np.ndarray, np.ndarray]:
-        """(packed responses, next-state codes), one entry per alphabet input."""
-        if code not in self._cache:
-            self.ensure([code])
-        return self._cache[code]
-
-    def successors(self, codes: list[int]) -> list[list[int]]:
+    def successors(self, codes: Sequence[int]) -> list[list[int]]:
         """Next-state codes per code, one per alphabet input (the
         :func:`~repro.faults.block.reach_levels` step)."""
-        self.ensure(codes)
-        return [self._cache[code][1].tolist() for code in codes]
+        return (self.words(codes) & self.mask).tolist()
 
 
-class _FaultExtractor:
-    """Per-fault path enumeration with memoized suffix antichains.
+#: Raw rows per merge batch.  Bounds the batch's temporaries; segments
+#: never straddle two batches, so the result does not depend on it.
+_BATCH_ROWS = 1 << 16
 
-    A path position is a *pair* ``(reference state, faulty state)``.  Under
-    trajectory semantics the reference evolves through the good machine;
-    under checker semantics the reference is the faulty machine's own state
-    (the pair stays diagonal).
 
-    All enumeration state (step/suffix memos, truncation flags, reduced
-    rows) lives on an :class:`ExtractionFrontier` so a later, deeper
-    extraction — possibly in a different process, via the artifact cache —
-    resumes exactly where this one stopped.  Every memo entry is a pure
-    function of its key, so resumed results are byte-identical to
-    from-scratch ones.
+class _LevelWalk:
+    """Forward pass: the ``(fault, reference, faulty)`` keys each depth lacks.
+
+    Depth ``p - 1`` needs the branch targets of every new latency ``p``,
+    and each new key needs its step children one depth down; keys the
+    state already holds are complete and stop the walk.  Each new key's
+    distinct steps ``(key, diff, next reference, next faulty)`` come out
+    in ascending order — the branch order of :func:`_merge_limited`.
     """
 
     def __init__(
         self,
-        synthesis: SynthesisResult,
-        fault_model: FaultModel,
-        fault: Fault,
-        alphabet: np.ndarray,
-        good: _StateEvaluator,
-        config: TableConfig,
-        block: FaultResponseBlock | None = None,
-        frontier: ExtractionFrontier | None = None,
+        state: ExtractionState,
+        needed: list[int],
+        trajectory: bool,
     ) -> None:
-        self.synthesis = synthesis
-        self.alphabet = alphabet
-        self.good = good
-        self.bad = _StateEvaluator(
-            synthesis, alphabet, block, fault_model, fault
-        )
-        self.config = config
-        self.trajectory = config.semantics == "trajectory"
-        self.frontier = (
-            frontier
-            if frontier is not None
-            else ExtractionFrontier(fault_name=fault.name)
-        )
-        self._packed_memo = self.frontier.suffix_memo
-        self._step_memo = self.frontier.step_memo
-        self._truncated_keys = self.frontier.truncated_keys
+        self.state = state
+        self.needed = needed
+        self.trajectory = trajectory
+        faults = np.arange(len(state.frontiers) + 1)
+        self.bounds = {
+            depth: np.searchsorted(level.keys[:, 0], faults)
+            for depth, level in state.suffixes.items()
+        }
+        #: depth -> [(fault index, new pairs, their steps)]
+        self.found: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
 
-    def discover(self, reachable: list[int]) -> None:
-        """Find this fault's distinct activation branches (once per fault).
-
-        Many present states activate the same (diff, next-pair) branch,
-        and each branch contributes the same option sets at every latency
-        — so only the deduplicated branch set and the activation count
-        are kept; both are latency-independent.
-        """
-        frontier = self.frontier
-        if frontier.branches is not None:
-            return
-        self.bad.ensure(reachable)
-        activations = 0
-        seen: set[tuple[int, int, int]] = set()
-        for code in reachable:
-            good_packed, good_next = self.good.info(code)
-            bad_packed, bad_next = self.bad.info(code)
-            diffs = good_packed ^ bad_packed
-            nonzero = np.flatnonzero(diffs)
-            activations += int(nonzero.shape[0])
-            if not nonzero.shape[0]:
-                continue
-            seen |= set(
-                zip(
-                    diffs[nonzero].tolist(),
-                    good_next[nonzero].tolist(),
-                    bad_next[nonzero].tolist(),
-                )
-            )
-        frontier.activations = activations
-        frontier.branches = sorted(seen)
-
-    def rows_for(self, p: int) -> np.ndarray:
-        """This fault's reduced option-set rows at latency ``p``.
-
-        Extends the memoized suffix antichains only as deep as ``p - 1``
-        requires; shallower entries computed by earlier calls (or earlier
-        runs, via a persisted frontier) are reused verbatim.  The rows are
-        canonically ordered, antichain-reduced and per-fault capped —
-        exactly the per-fault contribution the table pooling consumes.
-        """
-        frontier = self.frontier
-        cached = frontier.rows.get(p)
-        if cached is not None:
-            return cached
-        branches = frontier.branches
-        if branches is None:
-            raise RuntimeError("discover() must run before rows_for()")
-        suffix_truncated = False
-        if p == 1:
-            if branches:
-                rows = _unique_rows(
-                    np.array([diff for diff, _, _ in branches], dtype=np.uint64)[
-                        :, None
-                    ]
-                )
-            else:
-                rows = np.zeros((0, 1), dtype=np.uint64)
-        elif branches:
-            blocks: list[np.ndarray] = []
-            for diff, good_code, bad_code in branches:
-                reference = good_code if self.trajectory else bad_code
-                suffixes = self._packed_suffixes(reference, bad_code, p - 1)
-                blocks.append(_insert_word(suffixes, diff))
-                if (reference, bad_code, p - 1) in self._truncated_keys:
-                    suffix_truncated = True
-            rows = _unique_rows(np.concatenate(blocks))
-        else:
-            rows = np.zeros((0, p), dtype=np.uint64)
-        raw = int(rows.shape[0])
-        rows = _reduce_rows(rows)
-        reduced = int(rows.shape[0])
-        capped = False
-        if rows.shape[0] > self.config.max_rows_per_fault:
-            rows = _subset_rows(rows, self.config.max_rows_per_fault)
-            capped = True
-        frontier.rows[p] = rows
-        frontier.row_meta[p] = RowMeta(
-            raw=raw,
-            reduced=reduced,
-            capped=capped,
-            suffix_truncated=suffix_truncated,
-        )
-        return rows
-
-    def _packed_suffixes(
-        self, reference: int, faulty: int, depth: int
-    ) -> np.ndarray:
-        """Minimal antichain of packed option-set rows over depth-``depth``
-        paths from the pair, memoized per ``(pair, depth)``.
-
-        Rows are canonically ordered and partially antichain-reduced
-        (:func:`_reduce_rows`) per memo entry.  A key lands in
-        ``truncated_keys`` iff its *subtree* hit the suffix limit, so any
-        latency subset derived later reproduces the exact truncation flag
-        a fresh enumeration of that subset would report.
-        """
-        if depth == 0:
-            return _EMPTY_SUFFIX
-        key = (reference, faulty, depth)
-        cached = self._packed_memo.get(key)
-        if cached is not None:
-            return cached
-        steps = self._pair_step(reference, faulty)
-        children = [
-            self._packed_suffixes(next_reference, next_faulty, depth - 1)
-            for _, next_reference, next_faulty in steps
-        ]
-        limit = self.config.max_suffixes_per_state
-        raw_total = sum(child.shape[0] for child in children)
-        truncated_here = False
-        if raw_total >= limit:
-            rows, truncated_here = self._merge_limited(
-                steps, children, depth, limit
-            )
-            result = _reduce_rows(_unique_rows(rows))
-        elif raw_total <= _SMALL_MERGE:
-            result = _merge_small(steps, children, depth)
-        else:
-            # The deduplicated running count can never reach the limit, so
-            # the per-branch truncation check is a no-op: merge every
-            # branch extension in one vectorized batch.
-            rows = _unique_rows(_merge_branches(steps, children, depth))
-            result = _reduce_rows(rows)
-        self._packed_memo[key] = result
-        if truncated_here or (
-            depth > 1
-            and any(
-                (next_reference, next_faulty, depth - 1)
-                in self._truncated_keys
-                for _, next_reference, next_faulty in steps
-            )
-        ):
-            self._truncated_keys.add(key)
-        return result
-
-    def _merge_limited(
+    def fault(
         self,
-        steps: list[tuple[int, int, int]],
-        children: list[np.ndarray],
-        depth: int,
-        limit: int,
-    ) -> tuple[np.ndarray, bool]:
-        """Branch merge with the exact per-branch truncation semantics.
-
-        Mirrors the reference implementation: branches are taken in
-        ``_pair_step`` order, the *deduplicated* running count is checked
-        after each branch, and the first branch to reach the limit stops
-        the enumeration and reports truncation.
-        """
-        seen: set[bytes] = set()
-        kept: list[np.ndarray] = []
-        row_bytes = depth * 8
-        truncated = False
-        for (diff, _, _), child in zip(steps, children):
-            if diff == 0:
-                extended = np.zeros((child.shape[0], depth), dtype=np.uint64)
-                extended[:, : depth - 1] = child
-            else:
-                extended = _insert_word(child, diff)
-            data = extended.tobytes()
-            fresh = []
-            for index in range(extended.shape[0]):
-                row = data[index * row_bytes : (index + 1) * row_bytes]
-                if row not in seen:
-                    seen.add(row)
-                    fresh.append(index)
-            if fresh:
-                kept.append(
-                    extended
-                    if len(fresh) == extended.shape[0]
-                    else extended[np.asarray(fresh)]
-                )
-            if len(seen) >= limit:
-                truncated = True
-                break
-        if not kept:
-            return np.zeros((0, depth), dtype=np.uint64), truncated
-        return (
-            np.concatenate(kept) if len(kept) > 1 else kept[0]
-        ), truncated
-
-    def _pair_step(
-        self, reference: int, faulty: int
-    ) -> list[tuple[int, int, int]]:
-        """Distinct (diff, next reference, next faulty) branches of a pair."""
-        key = (reference, faulty)
-        cached = self._step_memo.get(key)
-        if cached is not None:
-            return cached
-        ref_packed, ref_next = self.good.info(reference)
-        bad_packed, bad_next = self.bad.info(faulty)
-        diffs = (ref_packed ^ bad_packed).tolist()
-        if self.trajectory:
-            branches = set(zip(diffs, ref_next.tolist(), bad_next.tolist()))
-        else:
-            faulty_next = bad_next.tolist()
-            branches = set(zip(diffs, faulty_next, faulty_next))
-        result = sorted(branches)
-        self._step_memo[key] = result
-        return result
-
-_EMPTY_SUFFIX = np.zeros((1, 0), dtype=np.uint64)
-
-#: Below this many raw branch rows the pure-Python merge wins: the numpy
-#: batch path costs ~100µs of fixed per-call overhead, which dominates
-#: exactly the small memo entries that tiny FSMs produce in bulk.
-_SMALL_MERGE = 64
+        index: int,
+        branches: np.ndarray,
+        good: _StateEvaluator,
+        bad: _StateEvaluator,
+    ) -> None:
+        targets = branches[:, [1 if self.trajectory else 2, 2]]
+        pairs = targets[:0]
+        for depth in range(max(self.needed) - 1, 0, -1):
+            if depth + 1 in self.needed:
+                pairs = np.concatenate([pairs, targets])
+            pairs = _unique_rows(pairs)
+            level = self.state.suffixes.get(depth)
+            if level is not None and pairs.shape[0]:
+                lo, hi = self.bounds[depth][index : index + 2]
+                pairs = pairs[_lookup(level.keys[lo:hi, 1:], pairs) < 0]
+            if not pairs.shape[0]:
+                continue
+            reference = good.words(pairs[:, 0])
+            faulty = bad.words(pairs[:, 1])
+            faulty_next = faulty & bad.mask
+            key = np.broadcast_to(
+                np.arange(pairs.shape[0])[:, None], faulty.shape
+            )
+            steps = np.stack(
+                [
+                    key,
+                    reference ^ faulty,
+                    reference & good.mask if self.trajectory else faulty_next,
+                    faulty_next,
+                ],
+                axis=-1,
+            ).reshape(-1, 4)
+            steps = _unique_rows(steps)
+            self.found.setdefault(depth, []).append((index, pairs, steps))
+            pairs = steps[:, 2:]
 
 
-def _merge_small(
-    steps: list[tuple[int, int, int]],
-    children: list[np.ndarray],
+def _fill_level(
+    state: ExtractionState,
     depth: int,
-) -> np.ndarray:
-    """Pure-Python twin of merge + unique + reduce for tiny branch totals.
+    found: list[tuple[int, np.ndarray, np.ndarray]],
+) -> None:
+    """Merge one depth's new keys, every fault's at once, into the state.
 
-    Produces exactly ``_reduce_rows(_unique_rows(_merge_branches(...)))``:
-    tuple comparison is row-lexicographic comparison, so ``sorted`` over
-    the deduplicated tuples is the same canonical order.
+    One segmented batch (:func:`_extended_batches`) handles every key
+    whose raw child-row total stays under :data:`MAX_SUFFIXES_PER_STATE`;
+    the rest go through :func:`_merge_limited` one by one.  A key is
+    truncated iff its own merge was or any child key is.
     """
-    rows: set[tuple[int, ...]] = set()
-    for (diff, _, _), child in zip(steps, children):
-        for row in child.tolist():
-            if diff == 0 or diff in row:
-                rows.add((*row, 0))
-            else:
-                words = [word for word in row if word]
-                words.append(diff)
-                words.sort()
-                words.extend([0] * (depth - len(words)))
-                rows.add(tuple(words))
-    if (0,) * depth in rows:  # empty option set absorbs the family
-        return np.zeros((1, depth), dtype=np.uint64)
-    ordered = sorted(rows)
-    singles = {t[0] for t in ordered if depth == 1 or t[1] == 0}
-    if singles:
-        ordered = [
-            t
-            for t in ordered
-            if (depth == 1 or t[1] == 0) or singles.isdisjoint(t)
+    keys = np.concatenate(
+        [
+            np.column_stack([np.full(pairs.shape[0], index), pairs])
+            for index, pairs, _ in found
         ]
-    return np.array(ordered, dtype=np.uint64).reshape(len(ordered), depth)
-
-
-def _merge_branches(
-    steps: list[tuple[int, int, int]],
-    children: list[np.ndarray],
-    depth: int,
-) -> np.ndarray:
-    """Union of every branch's extended suffix rows, in one batch.
-
-    Zero-difference branches pass their child rows through (padded one
-    column wider); every other branch inserts its difference word into
-    each child row.  The insertions for all branches run as a single
-    vectorized sort — valid only when the caller has ruled out the
-    per-branch truncation limit.
-    """
-    plain: list[np.ndarray] = []
-    extended: list[np.ndarray] = []
-    words: list[int] = []
-    counts: list[int] = []
-    for (diff, _, _), child in zip(steps, children):
-        if not child.shape[0]:
-            continue
-        if diff == 0:
-            plain.append(child)
-        else:
-            extended.append(child)
-            words.append(diff)
-            counts.append(child.shape[0])
-    parts: list[np.ndarray] = []
-    if plain:
-        stacked = np.concatenate(plain) if len(plain) > 1 else plain[0]
-        padded = np.zeros((stacked.shape[0], depth), dtype=np.uint64)
-        padded[:, : depth - 1] = stacked
-        parts.append(padded)
-    if extended:
-        stacked = (
-            np.concatenate(extended) if len(extended) > 1 else extended[0]
+    )
+    sizes = [pairs.shape[0] for _, pairs, _ in found]
+    firsts = np.cumsum(sizes) - sizes
+    owner = np.concatenate(
+        [steps[:, 0] + first for (_, _, steps), first in zip(found, firsts)]
+    )
+    steps = np.concatenate([steps[:, 1:] for _, _, steps in found])
+    count = keys.shape[0]
+    child = state.suffixes.get(depth - 1, _ROOT)
+    child_index = (
+        _lookup(child.keys, np.column_stack([keys[owner, 0], steps[:, 1:]]))
+        if depth > 1
+        else np.zeros(owner.shape[0], dtype=np.int64)
+    )
+    raw_total = np.bincount(
+        owner, weights=np.diff(child.offsets)[child_index], minlength=count
+    )
+    limited = raw_total >= MAX_SUFFIXES_PER_STATE
+    batch = ~limited[owner]
+    parts = []
+    for rows, row_owner in _extended_batches(
+        owner[batch], steps[batch, 0], child, child_index[batch], depth
+    ):
+        keep = _reduce_mask(rows, row_owner)
+        parts.append((rows[keep], row_owner[keep]))
+    truncated = (
+        np.bincount(
+            owner, weights=child.truncated[child_index], minlength=count
         )
-        column = np.repeat(np.array(words, dtype=np.uint64), counts)
-        out = np.empty((stacked.shape[0], depth), dtype=np.uint64)
-        out[:, : depth - 1] = stacked
-        out[:, depth - 1] = column
-        present = (stacked == column[:, None]).any(axis=1)
-        if present.any():
-            out[present, depth - 1] = 0  # member already: pad, don't dup
-        tmp = out - np.uint64(1)
-        tmp.sort(axis=1)
-        parts.append(tmp + np.uint64(1))
-    if not parts:
-        return np.zeros((0, depth), dtype=np.uint64)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        > 0
+    )
+    for key in np.flatnonzero(limited):
+        mine = owner == key
+        kept, cut = _merge_limited(
+            steps[mine, 0], child, child_index[mine], depth
+        )
+        truncated[key] |= cut
+        parts.append((kept, np.full(kept.shape[0], key)))
+    rows = np.concatenate([part[0] for part in parts])
+    row_owner = np.concatenate([part[1] for part in parts])
+    if limited.any():
+        order = np.argsort(row_owner, kind="stable")
+        rows, row_owner = rows[order], row_owner[order]
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_owner, minlength=count), out=offsets[1:])
+    new = SuffixLevel(keys, offsets, rows, truncated)
+    old = state.suffixes.get(depth)
+    state.suffixes[depth] = new if old is None else _union_levels(old, new)
+
+
+def _derive_rows(
+    state: ExtractionState, needed: list[int], trajectory: bool
+) -> None:
+    """Every fault's reduced, capped rows at each new latency.
+
+    The suffix merge one level up: one batch per latency whose segments
+    are the faults, whose steps are their activation branches and whose
+    children are the depth-``p - 1`` suffixes of the branch targets.  No
+    suffix limit applies; :data:`MAX_ROWS_PER_FAULT` subsamples what the
+    reduction leaves, chunk by chunk, so uncapped rows never pile up.
+    """
+    count = len(state.frontiers)
+    if not count:
+        return
+    branches = np.concatenate([frontier.branches for frontier in state.frontiers])
+    owner = np.repeat(
+        np.arange(count),
+        [frontier.branches.shape[0] for frontier in state.frontiers],
+    )
+    targets = np.column_stack(
+        [owner, branches[:, 1 if trajectory else 2], branches[:, 2]]
+    )
+    for p in needed:
+        child = state.suffixes.get(p - 1, _ROOT)
+        child_index = (
+            _lookup(child.keys, targets)
+            if p > 1
+            else np.zeros(owner.shape[0], dtype=np.int64)
+        )
+        truncated = np.bincount(
+            owner, weights=child.truncated[child_index], minlength=count
+        )
+        for frontier in state.frontiers:
+            frontier.rows[p] = np.zeros((0, p), dtype=np.uint64)
+            frontier.row_meta[p] = RowMeta(0, 0, False, False)
+        for rows, row_owner in _extended_batches(
+            owner, branches[:, 0], child, child_index, p
+        ):
+            raw = np.bincount(row_owner)
+            keep = _reduce_mask(rows, row_owner)
+            rows, row_owner = rows[keep], row_owner[keep]
+            starts = np.flatnonzero(_segment_starts(row_owner))
+            for start, stop in zip(starts, [*starts[1:], rows.shape[0]]):
+                index = int(row_owner[start])
+                mine = rows[start:stop]
+                capped = mine.shape[0] > MAX_ROWS_PER_FAULT
+                frontier = state.frontiers[index]
+                frontier.rows[p] = (
+                    _subset_rows(mine, MAX_ROWS_PER_FAULT)
+                    if capped
+                    else mine.copy()
+                )
+                frontier.row_meta[p] = RowMeta(
+                    raw=int(raw[index]),
+                    reduced=int(mine.shape[0]),
+                    capped=capped,
+                    suffix_truncated=bool(truncated[index] > 0),
+                )
+
+
+def _extended_batches(
+    owner: np.ndarray,
+    words: np.ndarray,
+    child: SuffixLevel,
+    child_index: np.ndarray,
+    width: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_extend_rows` over the steps, about :data:`_BATCH_ROWS` raw
+    rows at a time; a segment (``owner`` value) never straddles two."""
+    starts = child.offsets[child_index]
+    sizes = child.offsets[child_index + 1] - starts
+    before = np.cumsum(sizes) - sizes
+    chunk = before[np.searchsorted(owner, owner)] // _BATCH_ROWS
+    cuts = (np.flatnonzero(np.diff(chunk)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, owner.shape[0]]):
+        yield _extend_rows(
+            owner[lo:hi], words[lo:hi], child, starts[lo:hi], sizes[lo:hi], width
+        )
+
+
+def _extend_rows(
+    owner: np.ndarray,
+    words: np.ndarray,
+    child: SuffixLevel,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise ``set | {word}`` of every step's child rows, deduplicated
+    per owner: the rows owner-major, each owner's in canonical order.
+
+    Step ``j`` (owner ``owner[j]``, ascending) inserts ``words[j]`` into
+    child rows ``starts[j] : starts[j] + sizes[j]``; a zero word, or one
+    the row already holds, pads instead.  The ``-1 / sort / +1`` dance
+    exploits uint64 wraparound to sort the zero padding *after* the real
+    words: ``0`` wraps to the maximum, every nonzero word keeps its
+    relative order.
+    """
+    total = int(sizes.sum())
+    if not total:
+        return np.zeros((0, width), dtype=np.uint64), owner[:0]
+    out = np.empty((total, width), dtype=np.uint64)
+    out[:, :-1] = child.rows[_ranges(starts, sizes)]
+    word = np.repeat(words.astype(np.uint64), sizes)
+    word[(out[:, :-1] == word[:, None]).any(axis=1)] = 0
+    out[:, -1] = word
+    del word
+    out -= np.uint64(1)
+    out.sort(axis=1)
+    out += np.uint64(1)
+    row_owner = np.repeat(owner, sizes)
+    order = np.lexsort((*out.T[::-1], row_owner))
+    out, row_owner = out[order], row_owner[order]
+    del order
+    fresh = _segment_starts(row_owner)
+    fresh[1:] |= (out[1:] != out[:-1]).any(axis=1)
+    return out[fresh], row_owner[fresh]
+
+
+def _segment_starts(owner: np.ndarray) -> np.ndarray:
+    """True where a run of equal ``owner`` values begins."""
+    starts = np.ones(owner.shape[0], dtype=bool)
+    np.not_equal(owner[1:], owner[:-1], out=starts[1:])
+    return starts
+
+
+def _merge_limited(
+    words: np.ndarray,
+    child: SuffixLevel,
+    child_index: np.ndarray,
+    width: int,
+) -> tuple[np.ndarray, bool]:
+    """One key's merge at the suffix limit, in its exact truncation order.
+
+    Branches are taken in step order; the *deduplicated* running row
+    count is checked after each, and the first branch to reach
+    :data:`MAX_SUFFIXES_PER_STATE` stops the enumeration and reports
+    truncation.  Returns the kept rows (canonical, reduced) and the flag.
+    """
+    starts = child.offsets[child_index]
+    sizes = child.offsets[child_index + 1] - starts
+    rows, branch = _extend_rows(
+        np.arange(words.shape[0]), words, child, starts, sizes, width
+    )
+    order = np.lexsort((branch, *rows.T[::-1]))
+    rows, branch = rows[order], branch[order]
+    fresh = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    rows, arrival = rows[fresh], branch[fresh]  # each row's first branch
+    growth = np.cumsum(np.bincount(arrival, minlength=words.shape[0]))
+    reached = np.flatnonzero(growth >= MAX_SUFFIXES_PER_STATE)
+    if reached.size:
+        rows = rows[arrival <= reached[0]]
+    return _reduce_rows(rows), bool(reached.size)
+
+
+def _union_levels(old: SuffixLevel, new: SuffixLevel) -> SuffixLevel:
+    """One level holding both tables' keys (disjoint), in key order."""
+    keys = np.concatenate([old.keys, new.keys])
+    order = np.lexsort(keys.T[::-1])
+    starts = np.concatenate(
+        [old.offsets[:-1], new.offsets[:-1] + old.rows.shape[0]]
+    )[order]
+    sizes = np.concatenate([np.diff(old.offsets), np.diff(new.offsets)])[order]
+    offsets = np.zeros(keys.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return SuffixLevel(
+        keys=keys[order],
+        offsets=offsets,
+        rows=np.concatenate([old.rows, new.rows])[_ranges(starts, sizes)],
+        truncated=np.concatenate([old.truncated, new.truncated])[order],
+    )
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start, start + size)`` for every pair."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(
+        int(sizes.sum())
+    )
+
+
+def _lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Row index of each query row in ``table`` (unique non-negative
+    integer rows in ascending order), or -1 where absent."""
+    if not table.shape[0]:
+        return np.full(queries.shape[0], -1, dtype=np.int64)
+    keys, probes = _row_keys(table), _row_keys(queries)
+    found = np.minimum(np.searchsorted(keys, probes), keys.shape[0] - 1)
+    return np.where(keys[found] == probes, found, -1)

@@ -31,7 +31,7 @@ from repro.core.detectability import (
     reachable_state_codes,
 )
 from repro.faults.block import reach_levels
-from repro.faults.model import Fault, FaultModel
+from repro.faults.model import FaultModel
 from repro.fsm.analysis import shortest_cycle_through
 from repro.logic.synthesis import SynthesisResult
 
@@ -43,51 +43,38 @@ def max_useful_latency(
 ) -> int:
     """Largest latency bound that can still add detection flexibility."""
     alphabet, _ = input_alphabet(synthesis, config)
-    good = _StateEvaluator(synthesis, alphabet)
     reachable = reachable_state_codes(synthesis, alphabet)
-    good.ensure(reachable)
+    block_for = getattr(fault_model, "response_block", None)
+    block = block_for(alphabet, reachable) if block_for is not None else None
+    good_words = _StateEvaluator(synthesis, alphabet, block).words(reachable)
 
     overall = 1
     for fault in fault_model.faults():
-        cycle = _shortest_faulty_cycle(
-            synthesis, fault_model, fault, alphabet, good, reachable
-        )
+        bad = _StateEvaluator(synthesis, alphabet, block, fault_model, fault)
+        cycle = _shortest_faulty_cycle(bad, good_words, reachable)
         if cycle is not None:
             overall = max(overall, cycle)
     return overall
 
 
 def _shortest_faulty_cycle(
-    synthesis: SynthesisResult,
-    fault_model: FaultModel,
-    fault: Fault,
-    alphabet: np.ndarray,
-    good: _StateEvaluator,
-    reachable: list[int],
+    bad: _StateEvaluator, good_words: np.ndarray, reachable: list[int]
 ) -> int | None:
     """Shortest cycle of the faulty machine reachable from an activation."""
-    bad = _StateEvaluator(synthesis, alphabet, fault_model=fault_model, fault=fault)
-
     # Activation states: faulty next-states of erroneous reachable transitions.
-    bad.ensure(reachable)
-    activations: set[int] = set()
-    for code in reachable:
-        good_packed, _ = good.info(code)
-        bad_packed, next_codes = bad.info(code)
-        diffs = good_packed ^ bad_packed
-        activations.update(
-            int(nxt) for nxt, diff in zip(next_codes, diffs) if int(diff)
-        )
+    bad_words = bad.words(reachable)
+    erroneous = (good_words ^ bad_words) != 0
+    activations = sorted(set((bad_words[erroneous] & bad.mask).tolist()))
     if not activations:
         return None
 
     # Close the faulty machine's transition relation from the activations.
-    levels = reach_levels(bad.successors, sorted(activations))
+    levels = reach_levels(bad.successors, activations)
+    codes = [code for level in levels for code in level]
     graph = nx.DiGraph(
         (code, successor)
-        for level in levels
-        for code in level
-        for successor in set(bad.info(code)[1].tolist())
+        for code, row in zip(codes, bad.successors(codes))
+        for successor in set(row)
     )
     if nx.number_of_selfloops(graph):
         return 1

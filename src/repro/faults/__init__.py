@@ -1,4 +1,4 @@
-"""Fault substrate: fault models, collapsing, injection, fault simulation.
+"""Fault substrate: fault models, collapsing and the shared response block.
 
 The paper's experiments use single stuck-at faults on the synthesized gate
 level ("the stuck-at fault model has been used as the source of errors") but
@@ -25,7 +25,6 @@ from repro.faults.model import (
     TransitionFaultModel,
     stuck_at_universe,
 )
-from repro.faults.simulator import FaultSimResult, detected_faults, fault_coverage
 
 __all__ = [
     "CollapseReport",
@@ -34,14 +33,11 @@ __all__ = [
     "FaultModel",
     "FaultResponseBlock",
     "FaultSelection",
-    "FaultSimResult",
     "SignatureEngine",
     "StuckAtModel",
     "TransitionFaultModel",
     "collapse_classes",
     "collapse_faults",
-    "detected_faults",
-    "fault_coverage",
     "select_stuck_at_faults",
     "stuck_at_universe",
 ]

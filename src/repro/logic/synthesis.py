@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.fsm.encoding import Encoding, encode_states
 from repro.fsm.machine import FSM
-from repro.logic.cover import Cover
+from repro.logic.cover import Cover, _check_dense_arity
 from repro.logic.cube import Cube
 from repro.logic.espresso import espresso
 from repro.logic.netlist import GateKind, Netlist
@@ -120,6 +120,7 @@ def synthesize_fsm(
     r = fsm.num_inputs
     s = encoding.num_bits
     num_vars = r + s
+    _check_dense_arity(num_vars)  # before the dense table below
     num_bits = s + fsm.num_outputs
     space = 1 << num_vars
 

@@ -55,7 +55,11 @@ from repro.runtime.trace import current_tracer
 #: :class:`~repro.core.search.SolveResult` grew warm-start provenance
 #: (``incumbent_accepted``) and ``solve`` keys gained a knowledge-base
 #: incumbent dimension; the bump keeps pre-knowledge pickles from ever
-#: resolving attribute lookups against the new field set.
+#: resolving attribute lookups against the new field set.  The pickled
+#: ``tables-state`` layout has its own revision,
+#: :data:`~repro.core.detectability.STATE_SCHEMA` (3: one packed
+#: suffix table per depth); a stored state of another revision is
+#: rebuilt, not replayed.
 SCHEMA = 5
 
 

@@ -256,7 +256,7 @@ class TestPackedRowTwins:
         WORDS,
     )
     def test_insert_word_is_rowwise_union(self, sets, word):
-        from repro.core.detectability import _insert_word
+        from tests.oracles.extraction import _insert_word
 
         width = max(len(s) for s in sets) + 1
         rows = np.zeros((len(sets), width - 1), dtype=np.uint64)
@@ -282,14 +282,11 @@ class TestPackedRowTwins:
         )
     )
     def test_merge_small_matches_batch_pipeline(self, branches):
-        """The pure-Python small-merge twin must equal the vectorized
-        merge → unique → reduce pipeline, zero diffs and empties included."""
-        from repro.core.detectability import (
-            _merge_branches,
-            _merge_small,
-            _reduce_rows,
-            _unique_rows,
-        )
+        """The reference's pure-Python small-merge twin must equal its
+        vectorized merge → unique → reduce pipeline, zero diffs and
+        empties included."""
+        from repro.core.detectability import _reduce_rows, _unique_rows
+        from tests.oracles.extraction import _merge_branches, _merge_small
 
         depth = 3
         steps = [(diff, 0, 0) for diff, _ in branches]
@@ -316,3 +313,95 @@ class TestPackedRowTwins:
         assert cheap_reduce({frozenset(), frozenset({3}), frozenset({3, 5})}) == {
             frozenset()
         }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sets(
+                st.frozensets(WORDS, min_size=0, max_size=3),
+                min_size=1,
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_reduce_mask_is_per_segment_cheap_reduce(self, segments):
+        """The segmented reduction keeps, per segment, exactly what the
+        one-family reduction keeps: segments never absorb each other."""
+        from repro.core.detectability import _reduce_mask
+
+        width = max(len(s) for family in segments for s in family) or 1
+        blocks, owners = [], []
+        for owner, family in enumerate(segments):
+            ordered = canonical_order(family)
+            block = np.zeros((len(ordered), width), dtype=np.uint64)
+            for index, options in enumerate(ordered):
+                block[index, : len(options)] = sorted(options)
+            blocks.append(block)
+            owners.append(np.full(len(ordered), owner, dtype=np.int64))
+        rows, owner = np.concatenate(blocks), np.concatenate(owners)
+        keep = _reduce_mask(rows, owner)
+        for index, family in enumerate(segments):
+            kept = self._unpack(rows[keep & (owner == index)])
+            assert kept == canonical_order(cheap_reduce(set(family)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from([0, 3, 5, 9]),
+            ),
+            min_size=0,
+            max_size=10,
+        ).map(sorted)
+    )
+    def test_extend_rows_is_segmented_union(self, steps):
+        """Each step inserts its word into every row of its child key; an
+        owner's rows are the deduplicated union in canonical order, and a
+        zero word only pads."""
+        from repro.core.detectability import SuffixLevel, _extend_rows
+
+        families = [
+            [frozenset()],
+            [frozenset({3}), frozenset({5, 7})],
+            [frozenset({9}), frozenset({1, 3})],
+        ]
+        rows, offsets = [], [0]
+        for family in families:
+            for options in family:
+                row = np.zeros(2, dtype=np.uint64)
+                row[: len(options)] = sorted(options)
+                rows.append(row)
+            offsets.append(len(rows))
+        offsets = np.array(offsets, dtype=np.int64)
+        child = SuffixLevel(
+            keys=np.zeros((3, 3), dtype=np.int64),
+            offsets=offsets,
+            rows=np.array(rows, dtype=np.uint64),
+            truncated=np.zeros(3, dtype=bool),
+        )
+        owner = np.array([s[0] for s in steps], dtype=np.int64)
+        index = np.array([s[1] for s in steps], dtype=np.int64)
+        words = np.array([s[2] for s in steps], dtype=np.int64)
+        out, out_owner = _extend_rows(
+            owner,
+            words,
+            child,
+            offsets[index],
+            offsets[index + 1] - offsets[index],
+            3,
+        )
+        assert out.shape[1] == 3
+        assert np.all(np.diff(out_owner) >= 0)
+        for segment in range(4):
+            expected = {
+                options | ({word} if word else set())
+                for key, child_index, word in steps
+                if key == segment
+                for options in families[child_index]
+            }
+            got = self._unpack(out[out_owner == segment])
+            assert got == canonical_order(expected)

@@ -5,11 +5,14 @@ The frozenset algebra under test here is the reference in
 pooling of ``tables_from_state`` to it byte for byte.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import detectability
 from repro.core.cover import covers_all
 from repro.core.detectability import (
     DetectabilityTable,
@@ -162,9 +165,11 @@ class TestPackedPooling:
     @given(fault_row_families(), st.integers(min_value=1, max_value=8))
     def test_matches_frozenset_reference(self, family, max_rows):
         p, fault_rows = family
-        config = TableConfig(latency=4, max_rows=max_rows, seed=11)
+        config = TableConfig(latency=4, seed=11)
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_tracer(tracer), mock.patch.object(
+            detectability, "MAX_ROWS", max_rows
+        ):
             table = tables_from_state(self._state(p, fault_rows), config, [p])[p]
         expected, pooled, minimal = pooled_table(
             fault_rows, max_rows, rng_for(11, "row-cap", "synthetic", p)
@@ -186,9 +191,10 @@ class TestPackedPooling:
         rows = _packed(
             [frozenset({1}), frozenset({2}), frozenset({3, 4, 5})], 3
         )
-        config = TableConfig(latency=3, max_rows=1, seed=0)
+        config = TableConfig(latency=3, seed=0)
         state = self._state(3, [rows])
-        table = tables_from_state(state, config, [3])[3]
+        with mock.patch.object(detectability, "MAX_ROWS", 1):
+            table = tables_from_state(state, config, [3])[3]
         expected, _, _ = pooled_table(
             [rows], 1, rng_for(0, "row-cap", "synthetic", 3)
         )

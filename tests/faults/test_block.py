@@ -27,6 +27,7 @@ from repro.core.detectability import (
     new_extraction_state,
     reachable_state_codes,
 )
+from repro.core.latency import max_useful_latency
 from repro.core.search import SolveConfig
 from repro.faults import block as block_module
 from repro.faults import collapse
@@ -217,3 +218,19 @@ def test_certification_simulates_each_survivor_once_per_selection(
     assert certificate["mode"] == "exhaustive"
     assert len(survivors) == 2  # the design's model and the certificate
     assert 0 < len(calls) <= sum(survivors)
+
+
+def test_max_useful_latency_reads_the_block(monkeypatch):
+    """With an all-codes block on the analysis alphabet, the §2 latency
+    analysis slices every fault's words from it and simulates no fault."""
+    synthesis = synthesize_fsm(load_benchmark("dk512"))
+    expected = max_useful_latency(synthesis, StuckAtModel(synthesis))
+    model = StuckAtModel(synthesis)
+    alphabet, _ = input_alphabet(synthesis, TableConfig())
+    assert model.response_block(alphabet, ()).all_codes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("netlist fault simulated outside the block")
+
+    monkeypatch.setattr(StuckAtModel, "faulty_responses", refuse)
+    assert max_useful_latency(synthesis, model) == expected

@@ -103,3 +103,31 @@ class TestConflictDetection:
                     Transition("1", "a", "a", "1"),
                 ],
             )
+
+
+class TestDenseArity:
+    def test_too_many_variables_fail_before_the_dense_table(self):
+        """20 inputs + 3 state bits = 23 variables: one past the dense
+        limit.  The arity check must run before the (num_bits, 2**23)
+        value table (about 100 MB here) is allocated."""
+        import tracemalloc
+
+        states = [f"s{index}" for index in range(5)]
+        fsm = FSM(
+            name="wide",
+            num_inputs=20,
+            num_outputs=9,
+            states=states,
+            transitions=[
+                Transition("1" + "-" * 19, src, dst, "1" * 9)
+                for src, dst in zip(states, states[1:] + states[:1])
+            ],
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense truth tables"):
+                synthesize_fsm(fsm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
